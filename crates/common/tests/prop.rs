@@ -7,7 +7,6 @@
 use row_common::clock::{Cycle, TIMESTAMP_MODULUS};
 use row_common::rng::SplitMix64;
 use row_common::sched::EventQueue;
-use row_common::stats::{Histogram, RunningMean};
 
 /// Events always pop in nondecreasing cycle order, FIFO within a cycle.
 #[test]
@@ -51,29 +50,6 @@ fn timestamp14_latency_is_mod_2_14() {
             fill.latency_since14(issued.timestamp14()),
             delta % TIMESTAMP_MODULUS
         );
-    }
-}
-
-/// Histogram moments agree with a direct computation.
-#[test]
-fn histogram_moments_match_naive() {
-    let mut rng = SplitMix64::new(0x5eed_0003);
-    for _ in 0..64 {
-        let n = 1 + rng.below(300) as usize;
-        let samples: Vec<u64> = (0..n).map(|_| rng.below(1_000_000)).collect();
-        let mut h = Histogram::new();
-        let mut m = RunningMean::new();
-        for &s in &samples {
-            h.add(s);
-            m.add(s);
-        }
-        assert_eq!(h.count(), samples.len() as u64);
-        assert_eq!(h.max(), *samples.iter().max().unwrap());
-        assert!((h.mean() - m.mean()).abs() < 1e-6);
-        // Percentiles are monotone and bounded by the bucket above the max.
-        let p50 = h.percentile(0.5);
-        let p99 = h.percentile(0.99);
-        assert!(p50 <= p99);
     }
 }
 

@@ -11,7 +11,8 @@ use row_common::config::{
 use row_common::SystemConfig;
 use row_cpu::instr::InstrStream;
 use row_workloads::{
-    Benchmark, MicroRmw, MicroVariant, MicrobenchConfig, MicrobenchStream, ProfileStream,
+    Benchmark, LockServiceConfig, LockServiceStream, MicroRmw, MicroVariant, MicrobenchConfig,
+    MicrobenchStream, ProfileStream,
 };
 
 use crate::machine::{Machine, RunResult, SimError};
@@ -147,12 +148,55 @@ impl RowVariant {
 /// instruction traces every benchmark runner (and the sweep engine) feeds
 /// into [`Machine::new`].
 pub fn bench_streams(bench: Benchmark, exp: &ExperimentConfig) -> Vec<Box<dyn InstrStream>> {
-    let profile = bench.profile().with_instructions(exp.instructions);
     (0..exp.cores)
-        .map(|t| {
-            Box::new(ProfileStream::new(profile, t, exp.cores, exp.seed)) as Box<dyn InstrStream>
-        })
+        .map(|t| Box::new(bench_stream(bench, exp, t)) as Box<dyn InstrStream>)
         .collect()
+}
+
+/// Thread `tid`'s stream of [`bench_streams`].
+///
+/// # Panics
+/// Panics if `tid >= exp.cores`.
+pub fn bench_stream(bench: Benchmark, exp: &ExperimentConfig, tid: usize) -> ProfileStream {
+    let profile = bench.profile().with_instructions(exp.instructions);
+    ProfileStream::new(profile, tid, exp.cores, exp.seed)
+}
+
+/// One seeded [`LockServiceStream`] per core: the lock-service traffic of
+/// `norush soak` and `norush fuzz`.
+pub fn service_streams(
+    svc: LockServiceConfig,
+    cores: usize,
+    seed: u64,
+) -> Vec<Box<dyn InstrStream>> {
+    (0..cores)
+        .map(|t| Box::new(LockServiceStream::new(svc, t, cores, seed)) as Box<dyn InstrStream>)
+        .collect()
+}
+
+/// The atomic-policy names every `--policy`/`--policies` flag accepts.
+pub const POLICY_NAMES: [&str; 5] = ["eager", "lazy", "row", "row-fwd", "far"];
+
+/// `sys` under the named atomic policy: `eager`, `lazy`, `row` (best RoW
+/// configuration, locality override off), `row-fwd` (best RoW with the
+/// locality override and store→atomic forwarding) or `far` (RMWs execute
+/// at the home directory bank).
+///
+/// # Errors
+/// A name outside [`POLICY_NAMES`].
+pub fn with_policy_name(sys: SystemConfig, policy: &str) -> Result<SystemConfig, String> {
+    Ok(match policy {
+        "eager" => sys.with_policy(AtomicPolicy::Eager),
+        "lazy" => sys.with_policy(AtomicPolicy::Lazy),
+        "row" => sys.with_policy(AtomicPolicy::Row(
+            RowConfig::best().with_locality_override(false),
+        )),
+        "row-fwd" => sys
+            .with_policy(AtomicPolicy::Row(RowConfig::best()))
+            .with_forward_to_atomics(true),
+        "far" => sys.with_placement(AtomicPlacement::Far),
+        other => return Err(format!("unknown policy `{other}`")),
+    })
 }
 
 /// Runs `bench` under `policy`, with or without store→atomic forwarding.
@@ -170,36 +214,6 @@ pub fn run_benchmark(
         .with_policy(policy)
         .with_forward_to_atomics(forwarding);
     Machine::new(&sys, bench_streams(bench, exp)).run(exp.cycle_limit)
-}
-
-/// Like [`run_benchmark`], but crash-resilient: a checkpoint file is written
-/// to `path` every `every` cycles, and when `resume` is set and `path`
-/// already holds a checkpoint, the run continues from it instead of starting
-/// over. The checkpoint's config hash guarantees a resume against different
-/// settings is refused.
-///
-/// # Errors
-/// Everything [`run_benchmark`] raises, plus [`SimError::Checkpoint`] for
-/// unreadable, corrupt, or mismatched checkpoint files.
-pub fn run_benchmark_checkpointed(
-    bench: Benchmark,
-    policy: AtomicPolicy,
-    forwarding: bool,
-    exp: &ExperimentConfig,
-    every: u64,
-    path: &std::path::Path,
-    resume: bool,
-) -> Result<RunResult, SimError> {
-    let sys = exp
-        .system()
-        .with_policy(policy)
-        .with_forward_to_atomics(forwarding);
-    let mut m = Machine::new(&sys, bench_streams(bench, exp));
-    if resume && path.exists() {
-        let bytes = crate::checkpoint::read_checkpoint(path).map_err(SimError::Checkpoint)?;
-        m.restore(&bytes)?;
-    }
-    m.run_checkpointed(exp.cycle_limit, every, path)
 }
 
 /// Runs one Fig. 2 microbenchmark cell against an explicit cycle budget and

@@ -34,17 +34,21 @@
 //! allowed outcomes no enumerated schedule produced.
 
 use std::collections::{BTreeMap, HashSet};
+use std::path::Path;
 
 use row_common::choice::{self, ChoiceKind, DecisionRecord};
-use row_common::config::{AtomicPolicy, RowConfig, SystemConfig};
-use row_common::coverage::{self, CoverageMap};
+use row_common::config::SystemConfig;
+use row_common::coverage::{self, CoverageMap, SLOT_COUNT};
+use row_common::json::escape;
 use row_common::persist::fnv1a;
 use row_common::rng::SplitMix64;
 use row_cpu::instr::{InstrStream, VecStream};
 use row_workloads::litmus::{LitmusTest, OutcomeClass, Probe};
 
+use crate::experiment::with_policy_name;
 use crate::fuzz::violation_kind;
 use crate::machine::{Machine, SimError};
+use crate::triage;
 
 /// Schema identifier of the litmus/explore JSON report.
 pub const LITMUS_SCHEMA: &str = "norush-litmus-v1";
@@ -98,19 +102,7 @@ impl ExploreOptions {
     /// a planted protocol bug must surface at the first bad state, not
     /// thousands of cycles later), online oracle armed.
     pub fn system(&self, cores: usize) -> Result<SystemConfig, String> {
-        let sys = SystemConfig::small(cores);
-        let mut sys = match self.policy.as_str() {
-            "eager" => sys.with_policy(AtomicPolicy::Eager),
-            "lazy" => sys.with_policy(AtomicPolicy::Lazy),
-            "row" => sys.with_policy(AtomicPolicy::Row(
-                RowConfig::best().with_locality_override(false),
-            )),
-            "row-fwd" => sys
-                .with_policy(AtomicPolicy::Row(RowConfig::best()))
-                .with_forward_to_atomics(true),
-            "far" => sys.with_placement(row_common::config::AtomicPlacement::Far),
-            other => return Err(format!("unknown policy `{other}`")),
-        };
+        let mut sys = with_policy_name(SystemConfig::small(cores), &self.policy)?;
         sys.check.invariant_every = Some(64);
         sys.check.oracle_online = true;
         Ok(sys)
@@ -242,8 +234,9 @@ pub fn fmt_outcome(o: &[u64]) -> String {
         .join(",")
 }
 
-/// How one run violated the conformance contract, if it did.
-fn violation_of(test: &LitmusTest, run: &ScheduleRun) -> Option<(String, String)> {
+/// How one run violated the conformance contract, if it did: the violation
+/// kind and a human-readable detail.
+pub fn violation_of(test: &LitmusTest, run: &ScheduleRun) -> Option<(String, String)> {
     if let Some(e) = &run.error {
         let kind = violation_kind(e).unwrap_or("error");
         return Some((kind.to_string(), e.to_string()));
@@ -527,6 +520,112 @@ pub fn schedule_from_hex(s: &str) -> Result<Vec<u8>, String> {
         .step_by(2)
         .map(|i| u8::from_str_radix(&s[i..i + 2], 16).map_err(|e| format!("bad schedule hex: {e}")))
         .collect()
+}
+
+/// The copy-pasteable command that replays the decision vector `sched`.
+pub fn repro_cmd(test: &LitmusTest, opts: &ExploreOptions, sched: &[u8]) -> String {
+    format!(
+        "norush explore --test {} --policy {}{} --replay {}",
+        test.name,
+        opts.policy,
+        if opts.planted_bug {
+            " --inject-early-unblock"
+        } else {
+            ""
+        },
+        schedule_to_hex(sched),
+    )
+}
+
+/// Writes the triage bundle for violation `v` into `dir`:
+/// `explore_failure.txt` with the (minimized) schedule and repro command,
+/// plus the online-checker journal tail from replaying the minimized
+/// schedule.
+pub fn write_triage(test: &LitmusTest, opts: &ExploreOptions, v: &ExploreViolation, dir: &Path) {
+    let desc = format!(
+        "explore failure\ntest: {}\npolicy: {}\nkind: {}\ndetail: {}\n\
+         schedule: {}\nminimized: {}\nminimized detail: {}\nrepro: {}\n",
+        test.name,
+        opts.policy,
+        v.kind,
+        v.detail,
+        schedule_to_hex(&v.schedule),
+        schedule_to_hex(&v.minimized),
+        v.minimized_detail,
+        repro_cmd(test, opts, &v.minimized),
+    );
+    let replay = run_schedule_full(test, opts, &v.minimized)
+        .map(|(_, m)| m)
+        .map_err(|e| eprintln!("cannot replay minimized schedule for journal tail: {e}"))
+        .ok();
+    triage::write_bundle(dir, "explore_failure.txt", &desc, replay.as_ref());
+}
+
+/// Renders one litmus/explore cell as a `norush-litmus-v1` JSON object.
+fn cell_json(r: &ExploreReport) -> String {
+    let outcomes = r
+        .outcomes
+        .iter()
+        .map(|(o, n)| format!("\"{}\": {n}", fmt_outcome(o)))
+        .collect::<Vec<_>>()
+        .join(", ");
+    let unwitnessed = r
+        .unwitnessed
+        .iter()
+        .map(|o| format!("\"{}\"", fmt_outcome(o)))
+        .collect::<Vec<_>>()
+        .join(", ");
+    let violation = match &r.violation {
+        None => "null".to_string(),
+        Some(v) => format!(
+            "{{\"kind\": \"{}\", \"detail\": \"{}\", \"schedule\": \"{}\", \
+             \"minimized\": \"{}\", \"minimized_detail\": \"{}\"}}",
+            escape(&v.kind),
+            escape(&v.detail),
+            schedule_to_hex(&v.schedule),
+            schedule_to_hex(&v.minimized),
+            escape(&v.minimized_detail),
+        ),
+    };
+    format!(
+        "    {{\"test\": \"{}\", \"policy\": \"{}\", \"runs\": {}, \"states\": {}, \
+         \"dedup_hits\": {}, \"dpor_pruned\": {}, \"max_decision_points\": {}, \
+         \"truncated\": {}, \"coverage_covered\": {}, \"outcomes\": {{{outcomes}}}, \
+         \"unwitnessed\": [{unwitnessed}], \"violation\": {violation}}}",
+        escape(&r.test),
+        escape(&r.policy),
+        r.runs,
+        r.states,
+        r.dedup_hits,
+        r.dpor_pruned,
+        r.max_decision_points,
+        r.truncated,
+        r.coverage.covered(),
+    )
+}
+
+/// Renders the machine-readable litmus/explore report (`norush-litmus-v1`;
+/// documented in `results/README.md`). `mode` is `sample` or `explore`;
+/// `extra` holds the mode's parameter lines. Deterministic for a given
+/// configuration — independent of the worker count — so CI can diff
+/// reports.
+pub fn litmus_json(mode: &str, extra: &str, cells: &[ExploreReport]) -> String {
+    let mut union = CoverageMap::new();
+    for r in cells {
+        union.merge(&r.coverage);
+    }
+    let body = cells.iter().map(cell_json).collect::<Vec<_>>().join(",\n");
+    let status = if cells.iter().any(|r| r.violation.is_some()) {
+        "violation"
+    } else {
+        "ok"
+    };
+    format!(
+        "{{\n  \"schema\": \"{LITMUS_SCHEMA}\",\n  \"mode\": \"{mode}\",\n{extra}  \
+         \"status\": \"{status}\",\n  \"coverage\": {{\"covered\": {}, \"total\": {SLOT_COUNT}}},\n  \
+         \"cells\": [\n{body}\n  ]\n}}\n",
+        union.covered(),
+    )
 }
 
 #[cfg(test)]

@@ -36,17 +36,16 @@
 
 use std::path::Path;
 
-use row_common::config::{
-    AtomicPolicy, DelayBurst, FaultConfig, PerturbConfig, RowConfig, MAX_BURST_EXTRA,
-};
+use row_common::config::{DelayBurst, FaultConfig, PerturbConfig, MAX_BURST_EXTRA};
 use row_common::coverage::{self, CoverageMap, SLOT_COUNT};
+use row_common::json::escape;
 use row_common::persist::{fnv1a, Codec, PersistError, Reader, Writer};
 use row_common::rng::SplitMix64;
 use row_common::SystemConfig;
-use row_cpu::instr::InstrStream;
 use row_mem::ProtocolError;
-use row_workloads::{LockServiceConfig, LockServiceStream, ServiceKernel};
+use row_workloads::{LockServiceConfig, ServiceKernel};
 
+use crate::experiment::{service_streams, with_policy_name};
 use crate::machine::{Machine, SimError};
 use crate::shrink::shrink_chaos;
 use crate::sweep::parallel_map;
@@ -263,19 +262,7 @@ impl FuzzOptions {
     }
 
     fn system(&self, genome: &ScheduleGenome) -> Result<SystemConfig, String> {
-        let sys = SystemConfig::small(self.cores);
-        let mut sys = match self.policy.as_str() {
-            "eager" => sys.with_policy(AtomicPolicy::Eager),
-            "lazy" => sys.with_policy(AtomicPolicy::Lazy),
-            "row" => sys.with_policy(AtomicPolicy::Row(
-                RowConfig::best().with_locality_override(false),
-            )),
-            "row-fwd" => sys
-                .with_policy(AtomicPolicy::Row(RowConfig::best()))
-                .with_forward_to_atomics(true),
-            "far" => sys.with_placement(row_common::config::AtomicPlacement::Far),
-            other => return Err(format!("unknown policy `{other}`")),
-        };
+        let mut sys = with_policy_name(SystemConfig::small(self.cores), &self.policy)?;
         sys.check.oracle_online = true;
         sys.check.invariant_every = Some(4_096);
         sys.check.watchdog_window = Some(self.watchdog);
@@ -284,19 +271,15 @@ impl FuzzOptions {
         Ok(sys)
     }
 
-    fn streams(&self) -> Vec<Box<dyn InstrStream>> {
-        let mut svc = LockServiceConfig::soak(self.kernel);
-        svc.ops_per_thread = self.ops_per_thread;
-        (0..self.cores)
-            .map(|t| Box::new(LockServiceStream::new(svc, t, self.cores, self.seed)) as _)
-            .collect()
-    }
-
     /// A fresh machine executing `genome`'s schedule, online checker armed,
     /// planted bug injected when requested.
     pub fn machine(&self, genome: &ScheduleGenome) -> Result<Machine, String> {
         let sys = self.system(genome)?;
-        let mut m = Machine::new(&sys, self.streams());
+        let svc = LockServiceConfig {
+            ops_per_thread: self.ops_per_thread,
+            ..LockServiceConfig::soak(self.kernel)
+        };
+        let mut m = Machine::new(&sys, service_streams(svc, self.cores, self.seed));
         if self.planted_bug {
             m.memory_mut().inject_early_unblock_for_test();
         }
@@ -800,6 +783,24 @@ pub fn minimize(opts: &FuzzOptions, genome: &ScheduleGenome) -> ScheduleGenome {
 // Triage
 // ---------------------------------------------------------------------------
 
+/// The copy-pasteable command that replays `genome` under `opts`.
+pub fn repro_cmd(opts: &FuzzOptions, genome: &ScheduleGenome) -> String {
+    format!(
+        "norush fuzz --policy {} --kernel {} --cores {} --ops {} --seed {}{} --replay {}",
+        opts.policy,
+        opts.kernel.name(),
+        opts.cores,
+        opts.ops_per_thread,
+        opts.seed,
+        if opts.planted_bug {
+            " --inject-early-unblock"
+        } else {
+            ""
+        },
+        genome.to_hex(),
+    )
+}
+
 /// Replays the minimized schedule once more, capturing the soak-style triage
 /// bundle into `repro_dir`: `fuzz_failure.txt` (description, repro command,
 /// error), `journal_tail.txt` (the online checker's last records), and
@@ -817,20 +818,18 @@ pub fn write_triage(
         .machine(&finding.minimized)
         .map_err(|e| std::io::Error::other(format!("triage machine: {e}")))?;
     let mut last_ckpt: Option<Vec<u8>> = None;
-    let err = loop {
-        match m.run_for(50_000) {
-            Err(e) => break Some(e),
-            Ok(Some(_)) => break None,
-            Ok(None) => {
-                if m.now().raw() >= opts.cycle_limit {
-                    break None;
-                }
+    let err = m
+        .run_sliced(opts.cycle_limit, 50_000, |m| {
+            // A slice ending at the budget is already the livelock, not a
+            // restore point before it.
+            if m.now().raw() < opts.cycle_limit {
                 if let Ok(bytes) = m.checkpoint() {
                     last_ckpt = Some(bytes);
                 }
             }
-        }
-    };
+            Ok::<_, SimError>(())
+        })
+        .err();
     let ckpt_note = match &last_ckpt {
         Some(bytes) => crate::triage::write_checkpoint_file(repro_dir, "fuzz.ckpt", bytes)?
             .display()
@@ -868,22 +867,6 @@ pub fn write_triage(
 // ---------------------------------------------------------------------------
 // Report
 // ---------------------------------------------------------------------------
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn genome_json(g: &ScheduleGenome) -> String {
     let bursts = g
@@ -929,7 +912,7 @@ pub fn report_json(opts: &FuzzOptions, outcome: &FuzzOutcome, repro_cmd: Option<
         .global
         .uncovered_names()
         .iter()
-        .map(|n| format!("\"{}\"", json_escape(n)))
+        .map(|n| format!("\"{}\"", escape(n)))
         .collect::<Vec<_>>()
         .join(", ");
     let finding = match &outcome.finding {
@@ -941,12 +924,12 @@ pub fn report_json(opts: &FuzzOptions, outcome: &FuzzOutcome, repro_cmd: Option<
             f.kind,
             f.generation,
             f.candidate,
-            json_escape(&f.error),
+            escape(&f.error),
             genome_json(&f.genome),
             genome_json(&f.minimized),
-            json_escape(&f.minimized_error),
+            escape(&f.minimized_error),
             repro_cmd
-                .map(|c| format!("\"{}\"", json_escape(c)))
+                .map(|c| format!("\"{}\"", escape(c)))
                 .unwrap_or_else(|| "null".to_string()),
         ),
     };
@@ -976,7 +959,7 @@ pub fn report_json(opts: &FuzzOptions, outcome: &FuzzOutcome, repro_cmd: Option<
         } else {
             "clean"
         },
-        json_escape(&opts.policy),
+        escape(&opts.policy),
         opts.kernel.name(),
         opts.cores,
         opts.ops_per_thread,

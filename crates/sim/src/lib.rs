@@ -27,9 +27,13 @@
 //!   message-delivery and atomic-commit decision points with partial-order
 //!   reduction and state-hash dedup, checking declared forbidden outcomes
 //!   unreachable and allowed outcomes witnessed (`norush-litmus-v1`).
+//! * [`soak`] — the phased lock-service soak supervisor behind
+//!   `norush soak`: rotating kernels, escalating chaos, per-cell cycle and
+//!   whole-soak wall budgets, checkpointed slices, online checker armed,
+//!   triage on the first violation, and the `norush-soak-v1` report.
 //! * [`triage`] — the shared failure-triage bundle writers (`--repro-dir`
-//!   rotation, failure/journal-tail/checkpoint files) used by `run`,
-//!   `soak`, `fuzz`, and `explore`.
+//!   rotation, failure/journal-tail/checkpoint files, chaos shrink report)
+//!   used by `run`, `soak`, `fuzz`, and `explore`.
 //!
 //! # Example
 //!
@@ -53,13 +57,14 @@ pub mod explore;
 pub mod fuzz;
 pub mod machine;
 pub mod shrink;
+pub mod soak;
 pub mod sweep;
 pub mod triage;
 
 pub use experiment::{
-    bench_streams, microbench_cycle_limit, run_benchmark, run_benchmark_checkpointed, run_eager,
-    run_far, run_lazy, run_microbench, run_microbench_result, run_row, run_row_fwd,
-    ExperimentConfig, RowVariant,
+    bench_stream, bench_streams, microbench_cycle_limit, run_benchmark, run_eager, run_far,
+    run_lazy, run_microbench, run_microbench_result, run_row, run_row_fwd, service_streams,
+    with_policy_name, ExperimentConfig, RowVariant, POLICY_NAMES,
 };
 pub use explore::{
     explore, fmt_outcome, run_litmus, run_schedule, run_schedule_full, schedule_from_hex,
@@ -71,6 +76,7 @@ pub use fuzz::{
 };
 pub use machine::{Machine, ProfileReport, RewindReport, RunResult, SimError, SimTimeout};
 pub use shrink::shrink_chaos;
+pub use soak::{soak, SoakEvent, SoakOutcome, SoakReport, SoakSpec, SOAK_SCHEMA};
 pub use sweep::{
     available_workers, parallel_map, FigureResults, Job, JobRecord, JobSpec, Sweep,
     SweepCheckpoint, SweepError, SweepEvent, SweepOptions, Variant,

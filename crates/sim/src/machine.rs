@@ -465,16 +465,42 @@ impl Machine {
         every: u64,
         path: &Path,
     ) -> Result<RunResult, SimError> {
+        self.run_sliced(limit, every, |m| {
+            let bytes = m.checkpoint()?;
+            crate::checkpoint::write_checkpoint(path, &bytes).map_err(SimError::Checkpoint)
+        })
+    }
+
+    /// Runs to the absolute cycle `limit` like [`Machine::run`], in slices
+    /// of at most `every` cycles, calling `between` after each slice that
+    /// leaves work remaining. This is the one checkpointed-slice loop:
+    /// `between` takes the checkpoint (to a file, or kept in memory) and
+    /// may stop the run with its own error, e.g. on a wall-clock deadline.
+    ///
+    /// # Errors
+    /// Everything [`Machine::run`] raises, converted into `E`, plus any
+    /// error `between` returns.
+    ///
+    /// # Panics
+    /// Panics if `every` is zero.
+    pub fn run_sliced<E: From<SimError>>(
+        &mut self,
+        limit: u64,
+        every: u64,
+        mut between: impl FnMut(&Machine) -> Result<(), E>,
+    ) -> Result<RunResult, E> {
         assert!(every > 0, "checkpoint interval must be non-zero");
-        while self.now.raw() < limit {
-            let slice = every.min(limit - self.now.raw());
-            if let Some(r) = self.run_for(slice)? {
+        loop {
+            let left = limit.saturating_sub(self.now.raw());
+            if left == 0 {
+                // Budget exhausted: the standard timeout diagnostics.
+                return Ok(self.run(limit)?);
+            }
+            if let Some(r) = self.run_for(every.min(left))? {
                 return Ok(r);
             }
-            let bytes = self.checkpoint()?;
-            crate::checkpoint::write_checkpoint(path, &bytes).map_err(SimError::Checkpoint)?;
+            between(self)?;
         }
-        Err(self.timeout_error(limit))
     }
 
     /// One machine cycle: route the memory system's events, then step every

@@ -39,7 +39,8 @@ use row_common::stats::JobStats;
 use row_workloads::{Benchmark, MicroRmw, MicroVariant};
 
 use crate::experiment::{
-    bench_streams, microbench_cycle_limit, run_microbench_result, ExperimentConfig, RowVariant,
+    bench_streams, microbench_cycle_limit, run_microbench_result, with_policy_name,
+    ExperimentConfig, RowVariant,
 };
 use crate::machine::{Machine, RunResult, SimError};
 
@@ -75,6 +76,21 @@ impl Variant {
             placement: AtomicPlacement::default(),
             aq_entries: None,
         }
+    }
+
+    /// The variant a policy name selects (see [`with_policy_name`]).
+    ///
+    /// # Errors
+    /// An unknown policy name.
+    pub fn named(name: &str) -> Result<Self, String> {
+        let core = with_policy_name(row_common::SystemConfig::small(1), name)?.core;
+        Ok(Variant {
+            name: name.into(),
+            policy: core.atomic_policy,
+            forwarding: core.forward_to_atomics,
+            placement: core.atomic_placement,
+            aq_entries: None,
+        })
     }
 
     /// The always-eager baseline.
@@ -958,6 +974,10 @@ mod tests {
     #[test]
     fn variant_constructors_set_knobs() {
         assert_eq!(Variant::eager().name, "eager");
+        assert_eq!(Variant::named("eager"), Ok(Variant::eager()));
+        assert_eq!(Variant::named("far"), Ok(Variant::far()));
+        assert!(Variant::named("row-fwd").is_ok_and(|v| v.forwarding));
+        assert!(Variant::named("nonesuch").is_err());
         assert!(Variant::eager_fwd().forwarding);
         assert_eq!(Variant::far().placement, AtomicPlacement::Far);
         assert_eq!(Variant::eager().with_aq_entries(4).aq_entries, Some(4));

@@ -6,14 +6,16 @@
 //! copy-pasteable repro command, a `journal_tail.txt` with the online
 //! checker's last records, optionally a pre-violation `.ckpt`, and (for
 //! chaos failures) a shrunk `chaos_repro.txt`. This module owns the pieces
-//! all four callers previously triplicated in `src/bin/norush.rs` and
-//! [`crate::fuzz`]: marker naming, stale-bundle rotation, and the
-//! journal-tail/checkpoint writers.
+//! the four callers share: marker naming, stale-bundle rotation, the
+//! journal-tail/checkpoint writers, and the chaos shrink report.
 
 use std::io;
 use std::path::{Path, PathBuf};
 
+use row_common::config::FaultConfig;
+
 use crate::machine::Machine;
+use crate::shrink::shrink_chaos;
 
 /// Files that mark a triage bundle from a previous failing run. A directory
 /// containing any of these is rotated aside by [`rotate_stale_bundle`]
@@ -119,6 +121,47 @@ pub fn write_checkpoint_file(dir: &Path, name: &str, bytes: &[u8]) -> io::Result
     let path = dir.join(name);
     std::fs::write(&path, bytes)?;
     Ok(path)
+}
+
+/// Writes the failure description to `<dir>/<marker>` and, given the
+/// failed machine, its journal tail, noting each file written (or the write
+/// error) on stderr.
+pub fn write_bundle(dir: &Path, marker: &str, desc: &str, failed: Option<&Machine>) {
+    match write_failure(dir, marker, desc) {
+        Ok(path) => eprintln!("wrote {}", path.display()),
+        Err(e) => eprintln!("cannot write {marker}: {e}"),
+    }
+    match failed.map(|m| write_journal_tail(dir, m)) {
+        Some(Ok(Some(path))) => eprintln!("wrote {}", path.display()),
+        Some(Err(e)) => eprintln!("cannot write journal_tail.txt: {e}"),
+        _ => {}
+    }
+}
+
+/// A failing chaos run: minimizes the fault config while `fails` keeps
+/// reproducing the failure, prints the minimal repro command (`repro_cmd`
+/// renders one for a candidate config) and saves it to
+/// `<dir>/chaos_repro.txt`.
+pub fn shrink_and_report(
+    dir: &Path,
+    initial: FaultConfig,
+    repro_cmd: impl Fn(&FaultConfig) -> String,
+    fails: impl FnMut(&FaultConfig) -> bool,
+) {
+    eprintln!("shrinking the failing chaos config (one run per probe)...");
+    let min = shrink_chaos(initial, fails);
+    let repro = repro_cmd(&min);
+    eprintln!(
+        "minimal failing chaos config: latency {} drop {}ppm dup {}ppm corrupt {}ppm",
+        min.max_extra_latency, min.drop_ppm, min.dup_ppm, min.corrupt_ppm
+    );
+    eprintln!("repro: {repro}");
+    let path = dir.join("chaos_repro.txt");
+    if let Err(e) = std::fs::write(&path, format!("{repro}\n")) {
+        eprintln!("cannot write {}: {e}", path.display());
+    } else {
+        eprintln!("wrote {}", path.display());
+    }
 }
 
 #[cfg(test)]

@@ -1,44 +1,23 @@
-//! `norush` command-line interface.
-//!
-//! ```text
-//! norush list
-//! norush table1
-//! norush run <benchmark> [--cores N] [--instr N] [--seed S] [--policy P]
-//!            [--check [K]] [--watchdog N] [--rewind K] [--chaos SEED]
-//!            [--chaos-latency N] [--chaos-drop P] [--chaos-dup P]
-//!            [--chaos-corrupt P] [--oracle] [--chaos-shrink]
-//!            [--checkpoint-every K] [--ckpt-dir D] [--resume]
-//! norush compare <benchmark> [--cores N] [--instr N] [--seed S] [--jobs N]
-//! norush soak [--phases N] [--policies P,Q] [--kernel K] [--seed S] [...]
-//! norush fuzz [--policy P] [--kernel K] [--budget N] [--seed S] [--jobs N]
-//!             [--inject-early-unblock] [--resume] [--replay HEX] [...]
-//! norush litmus [--test T,U] [--policies P,Q] [--samples N] [--seed S] [--jobs N]
-//! norush explore [--test T,U] [--policy P] [--depth N] [--delays N] [--jobs N]
-//!                [--require-witness] [--inject-early-unblock] [--replay HEX]
-//! norush microbench [--iters N] [--fenced]
-//! norush record <benchmark> <file> [--instr N] [--tid T] [--threads N]
-//! norush replay <file> [--policy P]
-//! ```
-//!
-//! Policies: `eager` (default), `lazy`, `row`, `row-fwd`, `far`.
+//! `norush` command-line interface: flag parsing and printing over the
+//! `row_sim` library, which holds every supervisor, report and triage
+//! writer. `norush help` lists the commands; `norush <command> --help`
+//! prints one command's synopsis (see [`sub_help`]).
 
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
 
-use norush::common::config::{AtomicPlacement, AtomicPolicy, FaultConfig, FenceModel, RowConfig};
+use norush::common::config::{FaultConfig, FenceModel};
 use norush::cpu::instr::InstrStream;
+use norush::sim::soak::{SoakEvent, SoakSpec};
 use norush::sim::{
-    run_microbench, ExperimentConfig, Machine, RunResult, SimError, Sweep, SweepOptions, Variant,
+    bench_stream, bench_streams, explore, fuzz, run_microbench, triage, with_policy_name,
+    ExperimentConfig, ExploreOptions, ExploreReport, ExploreViolation, Machine, Sweep,
+    SweepOptions, Variant, POLICY_NAMES,
 };
-use norush::workloads::litmus::{LitmusTest, OutcomeClass};
+use norush::workloads::litmus::LitmusTest;
 use norush::workloads::{
-    Benchmark, LockServiceConfig, LockServiceStream, MicroRmw, MicroVariant, ProfileStream,
-    ServiceKernel, TraceFileStream,
+    Benchmark, LockServiceConfig, MicroRmw, MicroVariant, ServiceKernel, TraceFileStream,
 };
 use norush::SystemConfig;
-
-/// Schema tag of the machine-readable soak report.
-const SOAK_SCHEMA: &str = "norush-soak-v1";
 
 type CliResult = Result<(), Box<dyn std::error::Error>>;
 
@@ -75,11 +54,32 @@ fn parse_args(raw: Vec<String>) -> Args {
 }
 
 impl Args {
+    /// Parses `--{name}` as an integer; absent means `default`. A
+    /// non-number names the flag, like [`Args::num_in`].
     fn num(&self, name: &str, default: u64) -> Result<u64, Box<dyn std::error::Error>> {
-        match self.flags.get(name) {
-            Some(v) => Ok(v.parse()?),
-            None => Ok(default),
-        }
+        self.num_in(name, default, 0, u64::MAX, "")
+    }
+
+    /// Parses `--{name}` as a comma-separated list, trimming each entry and
+    /// dropping empty ones; absent means `None`.
+    fn list(&self, name: &str) -> Option<Vec<String>> {
+        self.flags.get(name).map(|v| {
+            v.split(',')
+                .map(str::trim)
+                .filter(|s| !s.is_empty())
+                .map(str::to_string)
+                .collect()
+        })
+    }
+
+    /// The `--{name}` path flag, `default` when absent.
+    fn path(&self, name: &str, default: &str) -> PathBuf {
+        PathBuf::from(self.flags.get(name).map_or(default, String::as_str))
+    }
+
+    /// The `--policy` flag, `default` when absent.
+    fn policy<'a>(&'a self, default: &'a str) -> &'a str {
+        self.flags.get("policy").map_or(default, String::as_str)
     }
 
     /// Parses `--{name}` as an integer in `[lo, hi]`; absent means `default`.
@@ -127,14 +127,8 @@ impl Args {
     }
 
     /// Parses `--{name}` as a fault probability in `[0, 0.05]` and converts
-    /// it to parts-per-million; absent means 0 (off).
-    fn prob_ppm(&self, name: &str) -> Result<u32, Box<dyn std::error::Error>> {
-        self.prob_ppm_or(name, 0)
-    }
-
-    /// Like [`Args::prob_ppm`], but an absent flag means `default_ppm`
-    /// (soak arms baseline chaos unless explicitly zeroed).
-    fn prob_ppm_or(&self, name: &str, default_ppm: u32) -> Result<u32, Box<dyn std::error::Error>> {
+    /// it to parts-per-million; absent means `default_ppm`.
+    fn prob_ppm(&self, name: &str, default_ppm: u32) -> Result<u32, Box<dyn std::error::Error>> {
         let Some(v) = self.flags.get(name) else {
             return Ok(default_ppm);
         };
@@ -152,77 +146,31 @@ impl Args {
     }
 }
 
-fn bench_by_name(name: &str) -> Result<Benchmark, String> {
+/// The benchmark named by the first positional argument; `usage` when
+/// there is none.
+fn bench_arg(args: &Args, usage: &str) -> Result<Benchmark, Box<dyn std::error::Error>> {
+    let name = args.positional.first().ok_or(usage)?;
     Benchmark::all()
         .iter()
         .copied()
         .find(|b| b.name() == name)
         .ok_or_else(|| {
-            format!(
-                "unknown benchmark `{name}`; known: {}",
-                Benchmark::all()
-                    .iter()
-                    .map(|b| b.name())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            )
+            let known: Vec<_> = Benchmark::all().iter().map(|b| b.name()).collect();
+            format!("unknown benchmark `{name}`; known: {}", known.join(", ")).into()
         })
 }
 
-fn system_for(policy: &str, exp: &ExperimentConfig) -> Result<SystemConfig, String> {
-    let sys = exp.system();
-    Ok(match policy {
-        "eager" => sys.with_policy(AtomicPolicy::Eager),
-        "lazy" => sys.with_policy(AtomicPolicy::Lazy),
-        "row" => sys.with_policy(AtomicPolicy::Row(
-            RowConfig::best().with_locality_override(false),
-        )),
-        "row-fwd" => sys
-            .with_policy(AtomicPolicy::Row(RowConfig::best()))
-            .with_forward_to_atomics(true),
-        "far" => sys.with_placement(AtomicPlacement::Far),
-        other => return Err(format!("unknown policy `{other}`")),
-    })
+/// Reports a failed simulation and exits 1.
+fn sim_failed(e: impl std::fmt::Display) -> ! {
+    eprintln!("simulation failed:\n{e}");
+    std::process::exit(1);
 }
 
-fn try_run_with(
-    sys: &SystemConfig,
-    bench: Benchmark,
-    exp: &ExperimentConfig,
-) -> Result<RunResult, norush::SimError> {
-    let profile = bench.profile().with_instructions(exp.instructions);
-    let streams: Vec<Box<dyn InstrStream>> = (0..exp.cores)
-        .map(|t| Box::new(ProfileStream::new(profile, t, exp.cores, exp.seed)) as _)
-        .collect();
-    Machine::new(sys, streams).run(exp.cycle_limit)
-}
-
-/// A failing chaos run with `--chaos-shrink`: minimize the fault config
-/// while `fails` keeps reproducing the failure, print the minimal repro
-/// command (`repro_cmd` renders one for a candidate config), and save it to
-/// `<repro_dir>/chaos_repro.txt` (the artifact CI uploads). Returns the
-/// minimal config so callers can record it.
-fn shrink_and_report(
-    repro_dir: &Path,
-    initial: FaultConfig,
-    repro_cmd: &dyn Fn(&FaultConfig) -> String,
-    fails: &mut dyn FnMut(&FaultConfig) -> bool,
-) -> FaultConfig {
-    eprintln!("shrinking the failing chaos config (one run per probe)...");
-    let min = norush::sim::shrink_chaos(initial, fails);
-    let repro = repro_cmd(&min);
-    eprintln!(
-        "minimal failing chaos config: latency {} drop {}ppm dup {}ppm corrupt {}ppm",
-        min.max_extra_latency, min.drop_ppm, min.dup_ppm, min.corrupt_ppm
-    );
-    eprintln!("repro: {repro}");
-    let path = repro_dir.join("chaos_repro.txt");
-    if let Err(e) = std::fs::write(&path, format!("{repro}\n")) {
-        eprintln!("cannot write {}: {e}", path.display());
-    } else {
-        eprintln!("wrote {}", path.display());
-    }
-    min
+/// Writes a report atomically (temp file + rename, like checkpoints).
+fn write_report(path: &Path, json: &str) -> std::io::Result<()> {
+    let tmp = path.with_extension("json.tmp");
+    std::fs::write(&tmp, json)?;
+    std::fs::rename(&tmp, path)
 }
 
 /// Parses `--repro-dir` (where shrunk repros and triage bundles land),
@@ -231,12 +179,7 @@ fn shrink_and_report(
 /// directory; `soak` to `soak_repro`; `fuzz` to `fuzz_repro`; `litmus` and
 /// `explore` to `explore_repro`.
 fn repro_dir_from(args: &Args, default: &str) -> Result<PathBuf, Box<dyn std::error::Error>> {
-    let dir = PathBuf::from(
-        args.flags
-            .get("repro-dir")
-            .map(String::as_str)
-            .unwrap_or(default),
-    );
+    let dir = args.path("repro-dir", default);
     norush::sim::triage::prepare_repro_dir(&dir)
         .map_err(|e| format!("--repro-dir {}: {e}", dir.display()))?;
     Ok(dir)
@@ -293,9 +236,9 @@ fn exp_from(args: &Args) -> Result<ExperimentConfig, Box<dyn std::error::Error>>
         .contains_key("chaos-latency")
         .then(|| args.num("chaos-latency", 0))
         .transpose()?;
-    let drop_ppm = args.prob_ppm("chaos-drop")?;
-    let dup_ppm = args.prob_ppm("chaos-dup")?;
-    let corrupt_ppm = args.prob_ppm("chaos-corrupt")?;
+    let drop_ppm = args.prob_ppm("chaos-drop", 0)?;
+    let dup_ppm = args.prob_ppm("chaos-dup", 0)?;
+    let corrupt_ppm = args.prob_ppm("chaos-corrupt", 0)?;
     if latency.is_some() || drop_ppm > 0 || dup_ppm > 0 || corrupt_ppm > 0 {
         let f = exp
             .check
@@ -316,84 +259,52 @@ fn exp_from(args: &Args) -> Result<ExperimentConfig, Box<dyn std::error::Error>>
     Ok(exp)
 }
 
-/// Like [`run_with`], but crash-resilient: writes a checkpoint to `path`
-/// every `every` cycles, and (with `resume`) continues from an existing one.
-fn run_with_checkpointed(
-    sys: &SystemConfig,
-    bench: Benchmark,
-    exp: &ExperimentConfig,
-    every: u64,
-    path: &std::path::Path,
-    resume: bool,
-) -> RunResult {
-    let profile = bench.profile().with_instructions(exp.instructions);
-    let streams: Vec<Box<dyn InstrStream>> = (0..exp.cores)
-        .map(|t| Box::new(ProfileStream::new(profile, t, exp.cores, exp.seed)) as _)
-        .collect();
-    let mut m = Machine::new(sys, streams);
-    if resume && path.exists() {
-        let restored = norush::sim::checkpoint::read_checkpoint(path)
-            .map_err(norush::SimError::Checkpoint)
-            .and_then(|bytes| m.restore(&bytes));
-        match restored {
-            Ok(()) => eprintln!("resumed from {} at cycle {}", path.display(), m.now().raw()),
-            Err(e) => {
-                eprintln!("cannot resume from {}: {e}", path.display());
-                std::process::exit(1);
+fn cmd_run(args: &Args) -> CliResult {
+    let bench = bench_arg(args, "usage: run <benchmark>")?;
+    let exp = exp_from(args)?;
+    let policy = args.policy("eager");
+    let sys = with_policy_name(exp.system(), policy)?;
+    let every = args.num("checkpoint-every", 0)?;
+    let run =
+        |sys: &SystemConfig| Machine::new(sys, bench_streams(bench, &exp)).run(exp.cycle_limit);
+    let r = if every > 0 {
+        // Crash-resilient: a checkpoint lands in the ckpt dir every `every`
+        // cycles, and `--resume` continues from an existing one.
+        let dir = args.flags.get("ckpt-dir").map_or(".", String::as_str);
+        std::fs::create_dir_all(dir)?;
+        let path = Path::new(dir).join(format!("norush_{}_{policy}.ckpt", bench.name()));
+        let mut m = Machine::new(&sys, bench_streams(bench, &exp));
+        if args.switches.contains("resume") && path.exists() {
+            let restored = norush::sim::checkpoint::read_checkpoint(&path)
+                .map_err(norush::SimError::Checkpoint)
+                .and_then(|bytes| m.restore(&bytes));
+            match restored {
+                Ok(()) => eprintln!("resumed from {} at cycle {}", path.display(), m.now().raw()),
+                Err(e) => {
+                    eprintln!("cannot resume from {}: {e}", path.display());
+                    std::process::exit(1);
+                }
             }
         }
-    }
-    let r = m
-        .run_checkpointed(exp.cycle_limit, every, path)
-        .unwrap_or_else(|e| {
-            eprintln!("simulation failed:\n{e}");
-            std::process::exit(1);
-        });
-    // The run completed: the checkpoint is spent, so a later `--resume`
-    // starts fresh instead of replaying a finished machine.
-    std::fs::remove_file(path).ok();
-    r
-}
-
-fn cmd_run(args: &Args) -> CliResult {
-    let bench = bench_by_name(args.positional.first().ok_or("usage: run <benchmark>")?)?;
-    let exp = exp_from(args)?;
-    let policy = args
-        .flags
-        .get("policy")
-        .map(String::as_str)
-        .unwrap_or("eager");
-    let sys = system_for(policy, &exp)?;
-    let every = args.num("checkpoint-every", 0)?;
-    let r = if every > 0 {
-        let dir = args
-            .flags
-            .get("ckpt-dir")
-            .cloned()
-            .unwrap_or_else(|| ".".into());
-        std::fs::create_dir_all(&dir)?;
-        let path =
-            std::path::Path::new(&dir).join(format!("norush_{}_{policy}.ckpt", bench.name()));
-        run_with_checkpointed(
-            &sys,
-            bench,
-            &exp,
-            every,
-            &path,
-            args.switches.contains("resume"),
-        )
+        let r = m
+            .run_checkpointed(exp.cycle_limit, every, &path)
+            .unwrap_or_else(|e| sim_failed(e));
+        // The run completed: the checkpoint is spent, so a later `--resume`
+        // starts fresh instead of replaying a finished machine.
+        std::fs::remove_file(&path).ok();
+        r
     } else {
-        match try_run_with(&sys, bench, &exp) {
+        match run(&sys) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("simulation failed:\n{e}");
                 if args.switches.contains("chaos-shrink") {
                     if let Some(initial) = exp.check.chaos {
                         let dir = repro_dir_from(args, ".")?;
-                        shrink_and_report(
+                        triage::shrink_and_report(
                             &dir,
                             initial,
-                            &|min| {
+                            |min| {
                                 format!(
                                     "norush run {} --cores {} --instr {} --seed {} --chaos {} \
                                      --chaos-latency {} --chaos-drop {} --chaos-dup {} \
@@ -409,12 +320,10 @@ fn cmd_run(args: &Args) -> CliResult {
                                     min.corrupt_ppm as f64 / 1e6,
                                 )
                             },
-                            &mut |cand| {
-                                let mut probe = exp;
+                            |cand| {
+                                let mut probe = sys;
                                 probe.check.chaos = Some(*cand);
-                                let mut s = sys;
-                                s.check = probe.check;
-                                try_run_with(&s, bench, &probe).is_err()
+                                run(&probe).is_err()
                             },
                         );
                     } else {
@@ -471,28 +380,13 @@ fn cmd_run(args: &Args) -> CliResult {
 /// component (memory tick, core stepping, invariant sweep) so hot-path work
 /// is measured before and after, not guessed.
 fn cmd_profile(args: &Args) -> CliResult {
-    let bench = bench_by_name(
-        args.positional
-            .first()
-            .ok_or("usage: profile <benchmark>")?,
-    )?;
+    let bench = bench_arg(args, "usage: profile <benchmark>")?;
     let exp = exp_from(args)?;
-    let policy = args
-        .flags
-        .get("policy")
-        .map(String::as_str)
-        .unwrap_or("eager");
-    let sys = system_for(policy, &exp)?;
-    let profile = bench.profile().with_instructions(exp.instructions);
-    let streams: Vec<Box<dyn InstrStream>> = (0..exp.cores)
-        .map(|t| Box::new(ProfileStream::new(profile, t, exp.cores, exp.seed)) as _)
-        .collect();
-    let (r, p) = Machine::new(&sys, streams)
+    let policy = args.policy("eager");
+    let sys = with_policy_name(exp.system(), policy)?;
+    let (r, p) = Machine::new(&sys, bench_streams(bench, &exp))
         .run_profiled(exp.cycle_limit)
-        .unwrap_or_else(|e| {
-            eprintln!("simulation failed:\n{e}");
-            std::process::exit(1);
-        });
+        .unwrap_or_else(|e| sim_failed(e));
     let pct = |s: f64| {
         if p.wall_s > 0.0 {
             100.0 * s / p.wall_s
@@ -543,53 +437,10 @@ fn cmd_profile(args: &Args) -> CliResult {
     Ok(())
 }
 
-/// Everything one `norush soak` run needs, parsed and range-checked up
-/// front so a bad flag fails before any phase starts.
-struct SoakSpec {
-    phases: usize,
-    cores: usize,
-    seed: u64,
-    policies: Vec<String>,
-    /// `None` rotates through [`ServiceKernel::ALL`] per phase.
-    kernel: Option<ServiceKernel>,
-    /// Workload shape shared by every phase (the kernel field is
-    /// overwritten per phase).
-    svc: LockServiceConfig,
-    chaos_seed: u64,
-    latency: u64,
-    drop_ppm: u32,
-    dup_ppm: u32,
-    corrupt_ppm: u32,
-    /// Per-phase multiplier on the lossy ppm rates (phase p runs at
-    /// `base * escalation^p`, capped at the CLI's 50 000 ppm bound).
-    escalation: f64,
-    phase_cycles: u64,
-    wall_secs: u64,
-    ckpt_every: u64,
-    watchdog: u64,
-    repro_dir: PathBuf,
-    out: PathBuf,
-    /// Test-only atomicity bug: lose the Nth FAA and double-apply the next
-    /// one on the same word (0 = off). Exercises the triage pipeline.
-    inject: u64,
-}
-
+/// Parses the soak flags over the library defaults, range-checked up front
+/// so a bad flag fails before any phase starts.
 fn soak_spec(args: &Args) -> Result<SoakSpec, Box<dyn std::error::Error>> {
-    let phases = args.num_in("phases", 3, 1, 64, "soak phases")? as usize;
-    let cores = args.num_in("cores", 4, 1, 512, "simulated cores")? as usize;
-    let policies: Vec<String> = args
-        .flags
-        .get("policies")
-        .map(String::as_str)
-        .unwrap_or("lazy,row")
-        .split(',')
-        .map(str::to_string)
-        .collect();
-    // Validate policy names up front with a throwaway config.
-    let probe = ExperimentConfig::quick();
-    for p in &policies {
-        system_for(p, &probe).map_err(|e| format!("--policies: {e}"))?;
-    }
+    let d = SoakSpec::default();
     let kernel = match args.flags.get("kernel").map(String::as_str) {
         None | Some("rotate") => None,
         Some(v) => Some(ServiceKernel::parse(v).ok_or_else(|| {
@@ -597,411 +448,95 @@ fn soak_spec(args: &Args) -> Result<SoakSpec, Box<dyn std::error::Error>> {
         })?),
     };
     let svc = LockServiceConfig {
-        shards: args.num_in("shards", 4, 1, 1 << 16, "lock shards")?,
-        keys: args.num_in("keys", 64, 1, 1 << 20, "service keys")?,
-        zipf_theta: args.f64_in("zipf-theta", 0.99, 0.0, 4.0, "Zipf skew")?,
-        read_fraction: args.f64_in("read-frac", 0.3, 0.0, 1.0, "read fraction")?,
-        ops_per_thread: args.num_in("ops", 200, 1, 1_000_000, "ops per thread")?,
-        mean_gap: args.f64_in("mean-gap", 24.0, 1.0, 100_000.0, "open-loop gap")?,
-        burst_epoch_ops: args.num_in("burst-epoch", 32, 1, 1_000_000, "ops per epoch")?,
-        burst_factor: args.f64_in("burst-factor", 4.0, 1.0, 1_000.0, "burst gap divisor")?,
-        kernel: ServiceKernel::Counter,
+        shards: args.num_in("shards", d.svc.shards, 1, 1 << 16, "lock shards")?,
+        keys: args.num_in("keys", d.svc.keys, 1, 1 << 20, "service keys")?,
+        zipf_theta: args.f64_in("zipf-theta", d.svc.zipf_theta, 0.0, 4.0, "Zipf skew")?,
+        read_fraction: args.f64_in("read-frac", d.svc.read_fraction, 0.0, 1.0, "read fraction")?,
+        ops_per_thread: args.num_in("ops", d.svc.ops_per_thread, 1, 1_000_000, "ops per thread")?,
+        mean_gap: args.f64_in("mean-gap", d.svc.mean_gap, 1.0, 100_000.0, "open-loop gap")?,
+        burst_epoch_ops: args.num_in(
+            "burst-epoch",
+            d.svc.burst_epoch_ops,
+            1,
+            1_000_000,
+            "ops per epoch",
+        )?,
+        burst_factor: args.f64_in(
+            "burst-factor",
+            d.svc.burst_factor,
+            1.0,
+            1_000.0,
+            "burst gap divisor",
+        )?,
+        kernel: d.svc.kernel,
     };
-    svc.validate().map_err(|e| format!("soak workload: {e}"))?;
-    Ok(SoakSpec {
-        phases,
-        cores,
-        seed: args.num("seed", 42)?,
-        policies,
+    let spec = SoakSpec {
+        phases: args.num_in("phases", d.phases as u64, 1, 64, "soak phases")? as usize,
+        cores: args.num_in("cores", d.cores as u64, 1, 512, "simulated cores")? as usize,
+        seed: args.num("seed", d.seed)?,
+        policies: args.list("policies").unwrap_or(d.policies),
         kernel,
         svc,
-        chaos_seed: args.num("chaos", 1)?,
-        latency: args.num_in("chaos-latency", 40, 0, 100_000, "delivery jitter cap")?,
-        drop_ppm: args.prob_ppm_or("chaos-drop", 200)?,
-        dup_ppm: args.prob_ppm_or("chaos-dup", 200)?,
-        corrupt_ppm: args.prob_ppm_or("chaos-corrupt", 100)?,
-        escalation: args.f64_in("chaos-escalation", 4.0, 1.0, 100.0, "per-phase multiplier")?,
+        chaos: FaultConfig {
+            seed: args.num("chaos", d.chaos.seed)?,
+            max_extra_latency: args.num_in(
+                "chaos-latency",
+                d.chaos.max_extra_latency,
+                0,
+                100_000,
+                "delivery jitter cap",
+            )?,
+            drop_ppm: args.prob_ppm("chaos-drop", d.chaos.drop_ppm)?,
+            dup_ppm: args.prob_ppm("chaos-dup", d.chaos.dup_ppm)?,
+            corrupt_ppm: args.prob_ppm("chaos-corrupt", d.chaos.corrupt_ppm)?,
+        },
+        escalation: args.f64_in(
+            "chaos-escalation",
+            d.escalation,
+            1.0,
+            100.0,
+            "per-phase multiplier",
+        )?,
         phase_cycles: args.num_in(
             "phase-cycles",
-            2_000_000,
+            d.phase_cycles,
             1_000,
             1_000_000_000_000,
             "per-phase cycle budget",
         )?,
-        wall_secs: args.num_in("wall-secs", 600, 1, 86_400, "whole-soak wall budget")?,
+        wall_secs: args.num_in(
+            "wall-secs",
+            d.wall_secs,
+            1,
+            86_400,
+            "whole-soak wall budget",
+        )?,
         ckpt_every: args.num_in(
             "checkpoint-every",
-            250_000,
+            d.ckpt_every,
             1_000,
             1_000_000_000,
             "checkpoint interval",
         )?,
-        watchdog: args.num_in("watchdog", 2_000_000, 1_000, u64::MAX, "watchdog window")?,
-        repro_dir: repro_dir_from(args, "soak_repro")?,
-        out: PathBuf::from(
-            args.flags
-                .get("out")
-                .map(String::as_str)
-                .unwrap_or("soak_report.json"),
-        ),
+        watchdog: args.num_in("watchdog", d.watchdog, 1_000, u64::MAX, "watchdog window")?,
+        repro_dir: d.repro_dir,
         inject: args.num_in("inject-net-zero-faa", 0, 0, 1_000_000_000, "FAA countdown")?,
+    };
+    spec.validate()?;
+    Ok(SoakSpec {
+        repro_dir: repro_dir_from(args, "soak_repro")?,
+        ..spec
     })
 }
 
-impl SoakSpec {
-    fn kernel_for(&self, phase: usize) -> ServiceKernel {
-        self.kernel
-            .unwrap_or(ServiceKernel::ALL[phase % ServiceKernel::ALL.len()])
-    }
-
-    /// Per-phase workload seed; phase 0 uses `--seed` verbatim, so a
-    /// single-phase repro can name any phase's seed directly.
-    fn seed_for(&self, phase: usize) -> u64 {
-        self.seed.wrapping_add(phase as u64 * 0x9e37_79b9_7f4a_7c15)
-    }
-
-    /// The phase's escalated chaos schedule; `None` once every component is
-    /// zeroed out (pure-functional soak, e.g. for bug-injection runs).
-    fn chaos_for(&self, phase: usize) -> Option<FaultConfig> {
-        let esc = |base: u32| -> u32 {
-            let scaled = (base as f64 * self.escalation.powi(phase as i32)).round() as u64;
-            scaled.min(50_000) as u32
-        };
-        let f = FaultConfig {
-            seed: self.chaos_seed.wrapping_add(phase as u64),
-            max_extra_latency: self.latency,
-            drop_ppm: esc(self.drop_ppm),
-            dup_ppm: esc(self.dup_ppm),
-            corrupt_ppm: esc(self.corrupt_ppm),
-        };
-        (f.max_extra_latency > 0 || f.lossy()).then_some(f)
-    }
-
-    fn svc_for(&self, phase: usize) -> LockServiceConfig {
-        LockServiceConfig {
-            kernel: self.kernel_for(phase),
-            ..self.svc
-        }
-    }
-
-    fn exp_for(&self, phase: usize) -> ExperimentConfig {
-        let mut exp = ExperimentConfig::quick();
-        exp.cores = self.cores;
-        exp.seed = self.seed_for(phase);
-        exp.cycle_limit = self.phase_cycles;
-        exp.check.invariant_every = Some(4_096);
-        exp.check.watchdog_window = Some(self.watchdog);
-        exp.check.oracle_online = true;
-        exp.check.chaos = self.chaos_for(phase);
-        exp
-    }
-
-    fn streams_for(&self, phase: usize) -> Vec<Box<dyn InstrStream>> {
-        let svc = self.svc_for(phase);
-        let seed = self.seed_for(phase);
-        (0..self.cores)
-            .map(|t| Box::new(LockServiceStream::new(svc, t, self.cores, seed)) as _)
-            .collect()
-    }
-
-    /// A fresh machine for one phase x policy cell, online checker armed.
-    fn machine_for(&self, phase: usize, policy: &str) -> Result<Machine, String> {
-        let exp = self.exp_for(phase);
-        let sys = system_for(policy, &exp)?;
-        let mut m = Machine::new(&sys, self.streams_for(phase));
-        if self.inject > 0 {
-            m.memory_mut().inject_net_zero_faa_for_test(self.inject);
-        }
-        Ok(m)
-    }
-
-    /// A single-phase command replaying one phase x policy cell exactly:
-    /// phase 0 with the failing phase's effective seeds, kernel, and chaos
-    /// rates spelled out (`--chaos-escalation 1` keeps them unscaled).
-    fn repro_cmd(&self, phase: usize, policy: &str, chaos: &FaultConfig) -> String {
-        let mut cmd = format!(
-            "norush soak --phases 1 --policies {policy} --kernel {} --cores {} --seed {} \
-             --ops {} --shards {} --keys {} --zipf-theta {} --read-frac {} --mean-gap {} \
-             --burst-epoch {} --burst-factor {} --phase-cycles {} --chaos {} \
-             --chaos-latency {} --chaos-drop {} --chaos-dup {} --chaos-corrupt {} \
-             --chaos-escalation 1",
-            self.kernel_for(phase).name(),
-            self.cores,
-            self.seed_for(phase),
-            self.svc.ops_per_thread,
-            self.svc.shards,
-            self.svc.keys,
-            self.svc.zipf_theta,
-            self.svc.read_fraction,
-            self.svc.mean_gap,
-            self.svc.burst_epoch_ops,
-            self.svc.burst_factor,
-            self.phase_cycles,
-            chaos.seed,
-            chaos.max_extra_latency,
-            chaos.drop_ppm as f64 / 1e6,
-            chaos.dup_ppm as f64 / 1e6,
-            chaos.corrupt_ppm as f64 / 1e6,
-        );
-        if self.inject > 0 {
-            cmd.push_str(&format!(" --inject-net-zero-faa {}", self.inject));
-        }
-        cmd
-    }
-}
-
-/// How one soak phase x policy cell ended.
-enum PhaseFailure {
-    /// The machine failed (violation, stall, timeout against the phase's
-    /// cycle budget, checkpoint error).
-    Sim(SimError),
-    /// The whole-soak wall budget ran out mid-phase.
-    Wall { at_cycle: u64 },
-}
-
-/// Drives one cell to completion in checkpointed slices: every `every`
-/// cycles the machine snapshot lands in `ckpt` (atomically), so a violation
-/// leaves a recent restore point for the triage bundle, and the wall-clock
-/// `deadline` is re-checked between slices.
-fn run_soak_phase(
-    m: &mut Machine,
-    cycle_budget: u64,
-    every: u64,
-    ckpt: &Path,
-    deadline: Instant,
-) -> Result<RunResult, PhaseFailure> {
-    let limit = m.now().raw().saturating_add(cycle_budget);
-    loop {
-        if Instant::now() >= deadline {
-            return Err(PhaseFailure::Wall {
-                at_cycle: m.now().raw(),
-            });
-        }
-        let remaining = limit - m.now().raw();
-        if remaining == 0 {
-            // Budget exhausted: surface the standard timeout diagnostics.
-            return match m.run(limit) {
-                Ok(r) => Ok(r),
-                Err(e) => Err(PhaseFailure::Sim(e)),
-            };
-        }
-        match m.run_for(every.min(remaining)).map_err(PhaseFailure::Sim)? {
-            Some(r) => return Ok(r),
-            None => {
-                let bytes = m.checkpoint().map_err(PhaseFailure::Sim)?;
-                norush::sim::checkpoint::write_checkpoint(ckpt, &bytes)
-                    .map_err(|e| PhaseFailure::Sim(SimError::Checkpoint(e)))?;
-            }
-        }
-    }
-}
-
-/// Per-cell latency summary for the report (units: cycles).
-struct LatSummary {
-    count: u64,
-    mean: f64,
-    p50: u64,
-    p99: u64,
-    p999: u64,
-    max: u64,
-}
-
-/// One phase x policy cell of the soak report.
-struct SoakOutcome {
-    phase: usize,
-    kernel: &'static str,
-    policy: String,
-    chaos: Option<FaultConfig>,
-    /// `"ok"`, `"violation"`, or `"wall-budget"`.
-    status: &'static str,
-    error: Option<String>,
-    cycles: u64,
-    ipc: f64,
-    atomics: u64,
-    lat: Option<LatSummary>,
-    /// Online-checker counters: (ops observed, RMWs, live words).
-    checker: Option<(u64, u64, usize)>,
-}
-
-/// On a cell failure: write the triage bundle (failure description, repro
-/// command, online-checker journal tail; the latest checkpoint is already in
-/// the repro dir) and, when chaos was active, shrink it to a minimal repro.
-fn soak_triage(
-    spec: &SoakSpec,
-    phase: usize,
-    policy: &str,
-    err: &SimError,
-    m: &Machine,
-    ckpt: &Path,
-) {
-    let chaos = spec.chaos_for(phase);
-    let mut desc = format!(
-        "soak failure\nphase: {phase}\npolicy: {policy}\nkernel: {}\nseed: {}\ncores: {}\n",
-        spec.kernel_for(phase).name(),
-        spec.seed_for(phase),
-        spec.cores,
-    );
-    match chaos {
-        Some(f) => desc.push_str(&format!(
-            "chaos: seed {} latency {} drop {}ppm dup {}ppm corrupt {}ppm\n",
-            f.seed, f.max_extra_latency, f.drop_ppm, f.dup_ppm, f.corrupt_ppm
-        )),
-        None => desc.push_str("chaos: off\n"),
-    }
-    if spec.inject > 0 {
-        desc.push_str(&format!(
-            "injected net-zero FAA bug: countdown {}\n",
-            spec.inject
-        ));
-    }
-    desc.push_str(&format!(
-        "checkpoint: {}\n",
-        if ckpt.exists() {
-            ckpt.display().to_string()
-        } else {
-            "none written before the failure".to_string()
-        }
-    ));
-    let unshrunk = chaos.unwrap_or(FaultConfig {
-        seed: 0,
-        max_extra_latency: 0,
-        drop_ppm: 0,
-        dup_ppm: 0,
-        corrupt_ppm: 0,
-    });
-    desc.push_str(&format!(
-        "repro: {}\nerror:\n{err}\n",
-        spec.repro_cmd(phase, policy, &unshrunk)
-    ));
-    match norush::sim::triage::write_failure(&spec.repro_dir, "soak_failure.txt", &desc) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("cannot write soak_failure.txt: {e}"),
-    }
-    match norush::sim::triage::write_journal_tail(&spec.repro_dir, m) {
-        Ok(Some(path)) => eprintln!("wrote {}", path.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("cannot write journal_tail.txt: {e}"),
-    }
-    let Some(initial) = chaos else {
-        eprintln!("no chaos was active; nothing to shrink");
-        return;
-    };
-    shrink_and_report(
-        &spec.repro_dir,
-        initial,
-        &|min| spec.repro_cmd(phase, policy, min),
-        &mut |cand| {
-            let mut exp = spec.exp_for(phase);
-            exp.check.chaos = Some(*cand);
-            let Ok(sys) = system_for(policy, &exp) else {
-                return false;
-            };
-            let mut pm = Machine::new(&sys, spec.streams_for(phase));
-            if spec.inject > 0 {
-                pm.memory_mut().inject_net_zero_faa_for_test(spec.inject);
-            }
-            pm.run(spec.phase_cycles).is_err()
-        },
-    );
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders the machine-readable soak report (`norush-soak-v1`; documented
-/// in `results/README.md`).
-fn soak_json(spec: &SoakSpec, outcomes: &[SoakOutcome], status: &str) -> String {
-    let mut runs = String::new();
-    for (i, o) in outcomes.iter().enumerate() {
-        if i > 0 {
-            runs.push_str(",\n");
-        }
-        let chaos = match &o.chaos {
-            Some(f) => format!(
-                "{{\"seed\": {}, \"latency\": {}, \"drop_ppm\": {}, \"dup_ppm\": {}, \
-                 \"corrupt_ppm\": {}}}",
-                f.seed, f.max_extra_latency, f.drop_ppm, f.dup_ppm, f.corrupt_ppm
-            ),
-            None => "null".to_string(),
-        };
-        let lat = match &o.lat {
-            Some(l) => format!(
-                "{{\"count\": {}, \"mean\": {:.2}, \"p50\": {}, \"p99\": {}, \"p999\": {}, \
-                 \"max\": {}}}",
-                l.count, l.mean, l.p50, l.p99, l.p999, l.max
-            ),
-            None => "null".to_string(),
-        };
-        let checker = match &o.checker {
-            Some((ops, rmws, live)) => {
-                format!("{{\"ops\": {ops}, \"rmws\": {rmws}, \"live_words\": {live}}}")
-            }
-            None => "null".to_string(),
-        };
-        let error = match &o.error {
-            Some(e) => format!("\"{}\"", json_escape(e)),
-            None => "null".to_string(),
-        };
-        runs.push_str(&format!(
-            "    {{\"phase\": {}, \"kernel\": \"{}\", \"policy\": \"{}\", \"chaos\": {chaos}, \
-             \"status\": \"{}\", \"cycles\": {}, \"ipc\": {:.4}, \"atomics\": {}, \
-             \"latency\": {lat}, \"checker\": {checker}, \"error\": {error}}}",
-            o.phase, o.kernel, o.policy, o.status, o.cycles, o.ipc, o.atomics,
-        ));
-    }
-    format!(
-        concat!(
-            "{{\n",
-            "  \"schema\": \"{}\",\n",
-            "  \"status\": \"{}\",\n",
-            "  \"seed\": {},\n",
-            "  \"cores\": {},\n",
-            "  \"phases\": {},\n",
-            "  \"policies\": [{}],\n",
-            "  \"phase_cycles\": {},\n",
-            "  \"wall_secs\": {},\n",
-            "  \"runs\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        SOAK_SCHEMA,
-        status,
-        spec.seed,
-        spec.cores,
-        spec.phases,
-        spec.policies
-            .iter()
-            .map(|p| format!("\"{}\"", json_escape(p)))
-            .collect::<Vec<_>>()
-            .join(", "),
-        spec.phase_cycles,
-        spec.wall_secs,
-        runs,
-    )
-}
-
-/// `norush soak`: a phased lock-service soak with the online per-operation
-/// linearizability checker armed. Each phase rotates the service kernel and
-/// escalates the lossy chaos rates; each phase x policy cell runs under a
-/// cycle budget, the whole soak under a wall budget, with periodic
-/// checkpoints. Any violation triggers triage (`soak_repro/` bundle plus a
-/// shrunk chaos repro) and a non-zero exit; the machine-readable report
-/// always lands in `--out` (default `soak_report.json`).
+/// `norush soak`: a phased lock-service soak ([`norush::sim::soak`]) with
+/// the online per-operation linearizability checker armed. Any violation
+/// triggers triage (`soak_repro/` bundle plus a shrunk chaos repro) and a
+/// non-zero exit; the machine-readable report always lands in `--out`
+/// (default `soak_report.json`).
 fn cmd_soak(args: &Args) -> CliResult {
     let spec = soak_spec(args)?;
-    let deadline = Instant::now() + Duration::from_secs(spec.wall_secs);
+    let out = args.path("out", "soak_report.json");
     println!(
         "soak: {} phases x [{}] on {} cores, seed {}, kernel {}, online checker armed",
         spec.phases,
@@ -1010,119 +545,49 @@ fn cmd_soak(args: &Args) -> CliResult {
         spec.seed,
         spec.kernel.map(|k| k.name()).unwrap_or("rotating"),
     );
-    let mut outcomes: Vec<SoakOutcome> = Vec::new();
-    let mut failed = false;
-    'phases: for phase in 0..spec.phases {
-        let kernel = spec.kernel_for(phase);
-        let chaos = spec.chaos_for(phase);
-        match chaos {
-            Some(f) => println!(
-                "phase {phase}: kernel {}, chaos latency {} drop {}ppm dup {}ppm corrupt {}ppm",
-                kernel.name(),
-                f.max_extra_latency,
-                f.drop_ppm,
-                f.dup_ppm,
-                f.corrupt_ppm
-            ),
-            None => println!("phase {phase}: kernel {}, chaos off", kernel.name()),
-        }
-        for policy in &spec.policies {
-            let mut m = spec.machine_for(phase, policy)?;
-            let ckpt = spec.repro_dir.join(format!("soak_p{phase}_{policy}.ckpt"));
-            match run_soak_phase(&mut m, spec.phase_cycles, spec.ckpt_every, &ckpt, deadline) {
-                Ok(r) => {
-                    let h = &r.total.atomic_latency;
-                    println!(
-                        "  {policy:8} {:>9} cycles  ipc {:>5.2}  atomics {:>6}  \
-                         latency p50/p99/p999 {}/{}/{} cycles",
-                        r.cycles,
-                        r.ipc(),
-                        r.total.atomics,
-                        h.percentile(0.50),
-                        h.percentile(0.99),
-                        h.percentile(0.999),
-                    );
-                    outcomes.push(SoakOutcome {
-                        phase,
-                        kernel: kernel.name(),
-                        policy: policy.clone(),
-                        chaos,
-                        status: "ok",
-                        error: None,
-                        cycles: r.cycles,
-                        ipc: r.ipc(),
-                        atomics: r.total.atomics,
-                        lat: Some(LatSummary {
-                            count: h.count(),
-                            mean: h.mean(),
-                            p50: h.percentile(0.50),
-                            p99: h.percentile(0.99),
-                            p999: h.percentile(0.999),
-                            max: h.max(),
-                        }),
-                        checker: m
-                            .online_checker()
-                            .map(|c| (c.ops_seen(), c.rmws(), c.live_words())),
-                    });
-                    // The cell finished: its checkpoint is spent.
-                    std::fs::remove_file(&ckpt).ok();
-                }
-                Err(PhaseFailure::Wall { at_cycle }) => {
-                    eprintln!(
-                        "wall budget ({}s) exhausted in phase {phase}, policy {policy}, \
-                         cycle {at_cycle}",
-                        spec.wall_secs
-                    );
-                    outcomes.push(SoakOutcome {
-                        phase,
-                        kernel: kernel.name(),
-                        policy: policy.clone(),
-                        chaos,
-                        status: "wall-budget",
-                        error: Some(format!("wall budget exhausted at cycle {at_cycle}")),
-                        cycles: at_cycle,
-                        ipc: 0.0,
-                        atomics: 0,
-                        lat: None,
-                        checker: m
-                            .online_checker()
-                            .map(|c| (c.ops_seen(), c.rmws(), c.live_words())),
-                    });
-                    failed = true;
-                    break 'phases;
-                }
-                Err(PhaseFailure::Sim(e)) => {
-                    eprintln!("phase {phase}, policy {policy} failed:\n{e}");
-                    soak_triage(&spec, phase, policy, &e, &m, &ckpt);
-                    outcomes.push(SoakOutcome {
-                        phase,
-                        kernel: kernel.name(),
-                        policy: policy.clone(),
-                        chaos,
-                        status: "violation",
-                        error: Some(e.to_string()),
-                        cycles: m.now().raw(),
-                        ipc: 0.0,
-                        atomics: 0,
-                        lat: None,
-                        checker: m
-                            .online_checker()
-                            .map(|c| (c.ops_seen(), c.rmws(), c.live_words())),
-                    });
-                    failed = true;
-                    break 'phases;
-                }
+    let report = norush::sim::soak(&spec, |ev| match ev {
+        SoakEvent::Phase(phase) => {
+            let kernel = spec.kernel_for(phase).name();
+            match spec.chaos_for(phase) {
+                Some(f) => println!(
+                    "phase {phase}: kernel {kernel}, chaos latency {} drop {}ppm dup {}ppm \
+                     corrupt {}ppm",
+                    f.max_extra_latency, f.drop_ppm, f.dup_ppm, f.corrupt_ppm
+                ),
+                None => println!("phase {phase}: kernel {kernel}, chaos off"),
             }
         }
-    }
-    let status = if failed { "fail" } else { "pass" };
-    let json = soak_json(&spec, &outcomes, status);
-    // Same atomic write discipline as checkpoints and sweep results.
-    let tmp = spec.out.with_extension("json.tmp");
-    std::fs::write(&tmp, &json)?;
-    std::fs::rename(&tmp, &spec.out)?;
-    println!("soak {status}: report written to {}", spec.out.display());
-    if failed {
+        SoakEvent::Cell(o) => match (o.status, &o.latency) {
+            ("ok", Some(h)) => println!(
+                "  {:8} {:>9} cycles  ipc {:>5.2}  atomics {:>6}  \
+                 latency p50/p99/p999 {}/{}/{} cycles",
+                o.policy,
+                o.cycles,
+                o.ipc,
+                o.atomics,
+                h.percentile(0.50),
+                h.percentile(0.99),
+                h.percentile(0.999),
+            ),
+            ("wall-budget", _) => eprintln!(
+                "wall budget ({}s) exhausted in phase {}, policy {}, cycle {}",
+                spec.wall_secs, o.phase, o.policy, o.cycles
+            ),
+            _ => eprintln!(
+                "phase {}, policy {} failed:\n{}",
+                o.phase,
+                o.policy,
+                o.error.as_deref().unwrap_or_default()
+            ),
+        },
+    })?;
+    write_report(&out, &norush::sim::soak::report_json(&spec, &report))?;
+    println!(
+        "soak {}: report written to {}",
+        report.status(),
+        out.display()
+    );
+    if !report.passed {
         eprintln!("triage bundle in {}", spec.repro_dir.display());
         std::process::exit(1);
     }
@@ -1130,20 +595,14 @@ fn cmd_soak(args: &Args) -> CliResult {
 }
 
 /// Builds the fuzz campaign options from the command line.
-fn fuzz_opts(args: &Args) -> Result<norush::sim::FuzzOptions, Box<dyn std::error::Error>> {
-    let policy = args
-        .flags
-        .get("policy")
-        .map(String::as_str)
-        .unwrap_or("lazy")
-        .to_string();
+fn fuzz_opts(args: &Args) -> Result<fuzz::FuzzOptions, Box<dyn std::error::Error>> {
     let kernel = match args.flags.get("kernel") {
         Some(v) => ServiceKernel::parse(v).ok_or_else(|| {
             format!("--kernel: `{v}` is not a service kernel (counter, mpmc-queue, mw-register)")
         })?,
         None => ServiceKernel::Counter,
     };
-    let mut opts = norush::sim::FuzzOptions::smoke(policy);
+    let mut opts = fuzz::FuzzOptions::smoke(args.policy("lazy"));
     opts.kernel = kernel;
     opts.cores = args.num_in("cores", 4, 2, 64, "need concurrency to race")? as usize;
     opts.ops_per_thread = args.num_in("ops", 120, 1, 100_000, "service ops per thread")?;
@@ -1162,34 +621,15 @@ fn fuzz_opts(args: &Args) -> Result<norush::sim::FuzzOptions, Box<dyn std::error
     Ok(opts)
 }
 
-/// The copy-pasteable command that replays a fuzz schedule.
-fn fuzz_repro_cmd(opts: &norush::sim::FuzzOptions, genome: &norush::sim::ScheduleGenome) -> String {
-    format!(
-        "norush fuzz --policy {} --kernel {} --cores {} --ops {} --seed {}{} --replay {}",
-        opts.policy,
-        opts.kernel.name(),
-        opts.cores,
-        opts.ops_per_thread,
-        opts.seed,
-        if opts.planted_bug {
-            " --inject-early-unblock"
-        } else {
-            ""
-        },
-        genome.to_hex(),
-    )
-}
-
 /// `norush fuzz` — coverage-guided protocol-schedule fuzzing with schedule
 /// minimization, soak-style triage, and a persistent corpus.
 fn cmd_fuzz(args: &Args) -> CliResult {
-    use norush::sim::fuzz;
     let opts = fuzz_opts(args)?;
     // Replay mode: execute one schedule from its hex genome and report.
     if let Some(hex) = args.flags.get("replay") {
         let genome = fuzz::ScheduleGenome::from_hex(hex)?;
         println!("replaying schedule: {}", genome.describe());
-        let out = fuzz::run_one(&opts, &genome).map_err(Box::<dyn std::error::Error>::from)?;
+        let out = fuzz::run_one(&opts, &genome)?;
         println!(
             "coverage: {}/{} transitions",
             out.coverage.covered(),
@@ -1207,12 +647,7 @@ fn cmd_fuzz(args: &Args) -> CliResult {
         }
     }
     let fingerprint = opts.fingerprint();
-    let state_path = PathBuf::from(
-        args.flags
-            .get("state")
-            .map(String::as_str)
-            .unwrap_or("fuzz_state.bin"),
-    );
+    let state_path = args.path("state", "fuzz_state.bin");
     let state = if args.switches.contains("resume") {
         let s = fuzz::FuzzState::load(&state_path, fingerprint)?;
         println!(
@@ -1226,12 +661,7 @@ fn cmd_fuzz(args: &Args) -> CliResult {
     } else {
         fuzz::FuzzState::new()
     };
-    let out_path = PathBuf::from(
-        args.flags
-            .get("out")
-            .map(String::as_str)
-            .unwrap_or("fuzz_report.json"),
-    );
+    let out_path = args.path("out", "fuzz_report.json");
     let repro_dir = repro_dir_from(args, "fuzz_repro")?;
     println!(
         "fuzz: policy {}, kernel {}, {} cores, seed {}, budget {} runs, {} workers{}",
@@ -1259,16 +689,15 @@ fn cmd_fuzz(args: &Args) -> CliResult {
             s.global.covered(),
             norush::common::coverage::SLOT_COUNT,
         );
-    })
-    .map_err(Box::<dyn std::error::Error>::from)?;
+    })?;
     let repro = outcome
         .finding
         .as_ref()
-        .map(|f| fuzz_repro_cmd(&opts, &f.minimized));
-    let json = fuzz::report_json(&opts, &outcome, repro.as_deref());
-    let tmp = out_path.with_extension("json.tmp");
-    std::fs::write(&tmp, &json)?;
-    std::fs::rename(&tmp, &out_path)?;
+        .map(|f| fuzz::repro_cmd(&opts, &f.minimized));
+    write_report(
+        &out_path,
+        &fuzz::report_json(&opts, &outcome, repro.as_deref()),
+    )?;
     let s = &outcome.state;
     for (name, covered, total) in s.global.domain_summary() {
         println!("  coverage {name:10} {covered:>3}/{total}");
@@ -1299,14 +728,9 @@ fn cmd_fuzz(args: &Args) -> CliResult {
 }
 
 /// Builds the shared litmus/explore options from the command line.
-fn explore_opts(args: &Args) -> Result<norush::sim::ExploreOptions, Box<dyn std::error::Error>> {
-    let mut opts = norush::sim::ExploreOptions::default();
-    opts.policy = args
-        .flags
-        .get("policy")
-        .map(String::as_str)
-        .unwrap_or("eager")
-        .to_string();
+fn explore_opts(args: &Args) -> Result<ExploreOptions, Box<dyn std::error::Error>> {
+    let mut opts = ExploreOptions::default();
+    opts.policy = args.policy("eager").to_string();
     opts.max_decisions = args.num_in(
         "depth",
         opts.max_decisions as u64,
@@ -1337,18 +761,17 @@ fn explore_opts(args: &Args) -> Result<norush::sim::ExploreOptions, Box<dyn std:
     )?;
     opts.planted_bug = args.switches.contains("inject-early-unblock");
     // Fail on an unknown policy here, before any cells run.
-    opts.system(2).map_err(Box::<dyn std::error::Error>::from)?;
+    opts.system(2)?;
     Ok(opts)
 }
 
 /// Parses `--test T[,U,...]`; absent means the whole suite.
 fn litmus_tests_from(args: &Args) -> Result<Vec<LitmusTest>, Box<dyn std::error::Error>> {
-    let Some(v) = args.flags.get("test") else {
+    let Some(names) = args.list("test") else {
         return Ok(LitmusTest::all());
     };
-    v.split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
+    names
+        .iter()
         .map(|name| {
             LitmusTest::by_name(name).ok_or_else(|| {
                 format!(
@@ -1361,135 +784,35 @@ fn litmus_tests_from(args: &Args) -> Result<Vec<LitmusTest>, Box<dyn std::error:
         .collect()
 }
 
-/// The copy-pasteable command that replays an explore schedule.
-fn explore_repro_cmd(
-    test: &LitmusTest,
-    opts: &norush::sim::ExploreOptions,
-    sched: &[u8],
-) -> String {
-    format!(
-        "norush explore --test {} --policy {}{} --replay {}",
-        test.name,
-        opts.policy,
-        if opts.planted_bug {
-            " --inject-early-unblock"
-        } else {
-            ""
-        },
-        norush::sim::schedule_to_hex(sched),
-    )
-}
-
-/// Writes the explore triage bundle: `explore_failure.txt` with the
-/// (minimized) schedule and repro command, plus the online-checker journal
-/// tail from replaying the minimized schedule.
-fn explore_triage(
-    test: &LitmusTest,
-    opts: &norush::sim::ExploreOptions,
-    v: &norush::sim::ExploreViolation,
-    dir: &Path,
+/// Reports the first violating cell, writes its triage bundle and exits 1;
+/// returns when no cell violated.
+fn exit_on_violation(
+    reports: &[ExploreReport],
+    cell: impl Fn(usize) -> (LitmusTest, ExploreOptions),
+    repro_dir: &Path,
+    note: impl Fn(&ExploreViolation),
 ) {
-    use norush::sim::triage;
-    let desc = format!(
-        "explore failure\ntest: {}\npolicy: {}\nkind: {}\ndetail: {}\n\
-         schedule: {}\nminimized: {}\nminimized detail: {}\nrepro: {}\n",
-        test.name,
-        opts.policy,
-        v.kind,
-        v.detail,
-        norush::sim::schedule_to_hex(&v.schedule),
-        norush::sim::schedule_to_hex(&v.minimized),
-        v.minimized_detail,
-        explore_repro_cmd(test, opts, &v.minimized),
+    let Some((idx, v)) = reports
+        .iter()
+        .enumerate()
+        .find_map(|(i, r)| r.violation.as_ref().map(|v| (i, v)))
+    else {
+        return;
+    };
+    let (test, opts) = cell(idx);
+    eprintln!(
+        "VIOLATION ({}) in {}/{}: {}",
+        v.kind, test.name, opts.policy, v.detail
     );
-    match triage::write_failure(dir, "explore_failure.txt", &desc) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("cannot write explore_failure.txt: {e}"),
-    }
-    match norush::sim::run_schedule_full(test, opts, &v.minimized) {
-        Ok((_, m)) => match triage::write_journal_tail(dir, &m) {
-            Ok(Some(path)) => eprintln!("wrote {}", path.display()),
-            Ok(None) => {}
-            Err(e) => eprintln!("cannot write journal_tail.txt: {e}"),
-        },
-        Err(e) => eprintln!("cannot replay minimized schedule for journal tail: {e}"),
-    }
-}
-
-/// Renders one litmus/explore cell as a `norush-litmus-v1` JSON object.
-fn litmus_cell_json(r: &norush::sim::ExploreReport) -> String {
-    use norush::sim::{fmt_outcome, schedule_to_hex};
-    let outcomes = r
-        .outcomes
-        .iter()
-        .map(|(o, n)| format!("\"{}\": {n}", fmt_outcome(o)))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let unwitnessed = r
-        .unwitnessed
-        .iter()
-        .map(|o| format!("\"{}\"", fmt_outcome(o)))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let violation = match &r.violation {
-        None => "null".to_string(),
-        Some(v) => format!(
-            "{{\"kind\": \"{}\", \"detail\": \"{}\", \"schedule\": \"{}\", \
-             \"minimized\": \"{}\", \"minimized_detail\": \"{}\"}}",
-            json_escape(&v.kind),
-            json_escape(&v.detail),
-            schedule_to_hex(&v.schedule),
-            schedule_to_hex(&v.minimized),
-            json_escape(&v.minimized_detail),
-        ),
-    };
-    format!(
-        "    {{\"test\": \"{}\", \"policy\": \"{}\", \"runs\": {}, \"states\": {}, \
-         \"dedup_hits\": {}, \"dpor_pruned\": {}, \"max_decision_points\": {}, \
-         \"truncated\": {}, \"coverage_covered\": {}, \"outcomes\": {{{outcomes}}}, \
-         \"unwitnessed\": [{unwitnessed}], \"violation\": {violation}}}",
-        json_escape(&r.test),
-        json_escape(&r.policy),
-        r.runs,
-        r.states,
-        r.dedup_hits,
-        r.dpor_pruned,
-        r.max_decision_points,
-        r.truncated,
-        r.coverage.covered(),
-    )
-}
-
-/// Renders the machine-readable litmus/explore report (`norush-litmus-v1`;
-/// documented in `results/README.md`). Deterministic for a given
-/// configuration — independent of `--jobs` — so CI can diff reports.
-fn litmus_json(mode: &str, extra: &str, cells: &[norush::sim::ExploreReport]) -> String {
-    let mut union = norush::common::coverage::CoverageMap::new();
-    for r in cells {
-        union.merge(&r.coverage);
-    }
-    let body = cells
-        .iter()
-        .map(litmus_cell_json)
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let status = if cells.iter().any(|r| r.violation.is_some()) {
-        "violation"
-    } else {
-        "ok"
-    };
-    format!(
-        "{{\n  \"schema\": \"{}\",\n  \"mode\": \"{mode}\",\n{extra}  \
-         \"status\": \"{status}\",\n  \"coverage\": {{\"covered\": {}, \"total\": {}}},\n  \
-         \"cells\": [\n{body}\n  ]\n}}\n",
-        norush::sim::LITMUS_SCHEMA,
-        union.covered(),
-        norush::common::coverage::SLOT_COUNT,
-    )
+    note(v);
+    explore::write_triage(&test, &opts, v, repro_dir);
+    eprintln!("triage bundle in {}", repro_dir.display());
+    eprintln!("repro: {}", explore::repro_cmd(&test, &opts, &v.minimized));
+    std::process::exit(1);
 }
 
 /// Prints the human-readable summary line for one cell.
-fn litmus_cell_line(r: &norush::sim::ExploreReport) {
+fn litmus_cell_line(r: &ExploreReport) {
     println!(
         "{:8} {:8} {:>6} runs {:>3} outcomes {:>2} unwitnessed  {}",
         r.test,
@@ -1509,29 +832,22 @@ fn litmus_cell_line(r: &norush::sim::ExploreReport) {
 /// more policies, recording outcome frequencies and conformance.
 fn cmd_litmus(args: &Args) -> CliResult {
     let base = explore_opts(args)?;
-    let policies: Vec<String> = match args.flags.get("policies").or(args.flags.get("policy")) {
-        Some(v) => v
-            .split(',')
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .collect(),
-        None => vec!["eager".into(), "lazy".into(), "row".into()],
+    let policies = args
+        .list("policies")
+        .or_else(|| args.list("policy"))
+        .unwrap_or_else(|| vec!["eager".into(), "lazy".into(), "row".into()]);
+    let with_policy = |p: &str| ExploreOptions {
+        policy: p.to_string(),
+        ..base.clone()
     };
     for p in &policies {
-        let mut o = base.clone();
-        o.policy = p.clone();
-        o.system(2).map_err(Box::<dyn std::error::Error>::from)?;
+        with_policy(p).system(2)?;
     }
     let tests = litmus_tests_from(args)?;
     let samples = args.num_in("samples", 32, 1, 100_000, "schedules per cell")?;
     let seed = args.num("seed", 42)?;
     let jobs = jobs_from(args)?;
-    let out_path = PathBuf::from(
-        args.flags
-            .get("out")
-            .map(String::as_str)
-            .unwrap_or("litmus_report.json"),
-    );
+    let out_path = args.path("out", "litmus_report.json");
     let repro_dir = repro_dir_from(args, "explore_repro")?;
     let cells: Vec<(LitmusTest, String)> = tests
         .iter()
@@ -1546,40 +862,21 @@ fn cmd_litmus(args: &Args) -> CliResult {
         jobs
     );
     let results = norush::sim::parallel_map(&cells, jobs, |_, (test, policy)| {
-        let mut o = base.clone();
-        o.policy = policy.clone();
-        norush::sim::run_litmus(test, &o, samples, seed)
+        norush::sim::run_litmus(test, &with_policy(policy), samples, seed)
     });
-    let mut reports = Vec::with_capacity(results.len());
-    for r in results {
-        reports.push(r.map_err(Box::<dyn std::error::Error>::from)?);
-    }
+    let reports = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     for r in &reports {
         litmus_cell_line(r);
     }
     let extra = format!("  \"samples\": {samples},\n  \"seed\": {seed},\n");
-    let json = litmus_json("sample", &extra, &reports);
-    let tmp = out_path.with_extension("json.tmp");
-    std::fs::write(&tmp, &json)?;
-    std::fs::rename(&tmp, &out_path)?;
+    write_report(&out_path, &explore::litmus_json("sample", &extra, &reports))?;
     println!("report written to {}", out_path.display());
-    if let Some((idx, v)) = reports
-        .iter()
-        .enumerate()
-        .find_map(|(i, r)| r.violation.as_ref().map(|v| (i, v)))
-    {
-        let (test, policy) = &cells[idx];
-        let mut o = base.clone();
-        o.policy = policy.clone();
-        eprintln!(
-            "VIOLATION ({}) in {}/{}: {}",
-            v.kind, test.name, policy, v.detail
-        );
-        explore_triage(test, &o, v, &repro_dir);
-        eprintln!("triage bundle in {}", repro_dir.display());
-        eprintln!("repro: {}", explore_repro_cmd(test, &o, &v.minimized));
-        std::process::exit(1);
-    }
+    exit_on_violation(
+        &reports,
+        |i| (cells[i].0.clone(), with_policy(&cells[i].1)),
+        &repro_dir,
+        |_| {},
+    );
     Ok(())
 }
 
@@ -1603,8 +900,7 @@ fn cmd_explore(args: &Args) -> CliResult {
             opts.policy,
             norush::sim::schedule_to_hex(&forced)
         );
-        let run = norush::sim::run_schedule(&test, &opts, &forced)
-            .map_err(Box::<dyn std::error::Error>::from)?;
+        let run = norush::sim::run_schedule(&test, &opts, &forced)?;
         if let Some(o) = &run.outcome {
             println!(
                 "outcome: ({}) [{:?}]",
@@ -1613,20 +909,8 @@ fn cmd_explore(args: &Args) -> CliResult {
             );
         }
         println!("decision points: {}", run.decisions.len());
-        let violated = run.error.is_some()
-            || run.timed_out
-            || run
-                .outcome
-                .as_ref()
-                .is_some_and(|o| test.classify(o) != OutcomeClass::Allowed);
-        if violated {
-            if let Some(e) = &run.error {
-                eprintln!("violation reproduced:\n{e}");
-            } else if run.timed_out {
-                eprintln!("violation reproduced: livelock (cycle budget exhausted)");
-            } else {
-                eprintln!("violation reproduced: non-allowed outcome");
-            }
+        if let Some((kind, detail)) = explore::violation_of(&test, &run) {
+            eprintln!("violation reproduced ({kind}):\n{detail}");
             std::process::exit(1);
         }
         println!("no violation");
@@ -1635,12 +919,7 @@ fn cmd_explore(args: &Args) -> CliResult {
     let tests = litmus_tests_from(args)?;
     let jobs = jobs_from(args)?;
     let require_witness = args.switches.contains("require-witness");
-    let out_path = PathBuf::from(
-        args.flags
-            .get("out")
-            .map(String::as_str)
-            .unwrap_or("explore_report.json"),
-    );
+    let out_path = args.path("out", "explore_report.json");
     let repro_dir = repro_dir_from(args, "explore_repro")?;
     println!(
         "explore: {} tests under {}, depth {}, delay bound {}, {} workers{}",
@@ -1657,10 +936,7 @@ fn cmd_explore(args: &Args) -> CliResult {
     );
     let results =
         norush::sim::parallel_map(&tests, jobs, |_, test| norush::sim::explore(test, &opts));
-    let mut reports = Vec::with_capacity(results.len());
-    for r in results {
-        reports.push(r.map_err(Box::<dyn std::error::Error>::from)?);
-    }
+    let reports = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     for r in &reports {
         litmus_cell_line(r);
         for u in &r.unwitnessed {
@@ -1676,32 +952,24 @@ fn cmd_explore(args: &Args) -> CliResult {
         "  \"depth\": {},\n  \"delays\": {},\n",
         opts.max_decisions, opts.max_delays
     );
-    let json = litmus_json("explore", &extra, &reports);
-    let tmp = out_path.with_extension("json.tmp");
-    std::fs::write(&tmp, &json)?;
-    std::fs::rename(&tmp, &out_path)?;
+    write_report(
+        &out_path,
+        &explore::litmus_json("explore", &extra, &reports),
+    )?;
     println!("report written to {}", out_path.display());
-    if let Some((idx, v)) = reports
-        .iter()
-        .enumerate()
-        .find_map(|(i, r)| r.violation.as_ref().map(|v| (i, v)))
-    {
-        let test = &tests[idx];
-        eprintln!(
-            "VIOLATION ({}) in {}/{}: {}",
-            v.kind, test.name, opts.policy, v.detail
-        );
-        eprintln!(
-            "minimized schedule: {} ({} of {} decisions nonzero)",
-            norush::sim::schedule_to_hex(&v.minimized),
-            v.minimized.iter().filter(|&&a| a != 0).count(),
-            v.minimized.len(),
-        );
-        explore_triage(test, &opts, v, &repro_dir);
-        eprintln!("triage bundle in {}", repro_dir.display());
-        eprintln!("repro: {}", explore_repro_cmd(test, &opts, &v.minimized));
-        std::process::exit(1);
-    }
+    exit_on_violation(
+        &reports,
+        |i| (tests[i].clone(), opts.clone()),
+        &repro_dir,
+        |v| {
+            eprintln!(
+                "minimized schedule: {} ({} of {} decisions nonzero)",
+                norush::sim::schedule_to_hex(&v.minimized),
+                v.minimized.iter().filter(|&&a| a != 0).count(),
+                v.minimized.len(),
+            )
+        },
+    );
     if require_witness && reports.iter().any(|r| !r.unwitnessed.is_empty()) {
         eprintln!("--require-witness: some allowed outcomes went unwitnessed (see warnings)");
         std::process::exit(1);
@@ -1727,27 +995,14 @@ fn jobs_from(args: &Args) -> Result<usize, Box<dyn std::error::Error>> {
 }
 
 fn cmd_compare(args: &Args) -> CliResult {
-    let bench = bench_by_name(
-        args.positional
-            .first()
-            .ok_or("usage: compare <benchmark>")?,
-    )?;
+    let bench = bench_arg(args, "usage: compare <benchmark>")?;
     let exp = exp_from(args)?;
     let jobs = jobs_from(args)?;
     println!(
         "{bench} on {} cores ({} instructions/thread):\n",
         exp.cores, exp.instructions
     );
-    let variants = [
-        Variant::eager(),
-        Variant::lazy(),
-        Variant::custom(
-            "row",
-            AtomicPolicy::Row(RowConfig::best().with_locality_override(false)),
-        ),
-        Variant::custom("row-fwd", AtomicPolicy::Row(RowConfig::best())).with_forwarding(),
-        Variant::far(),
-    ];
+    let variants = POLICY_NAMES.map(|p| Variant::named(p).expect("every policy name is known"));
     let sweep = Sweep::grid("compare", &exp, &[bench], &variants, &[]);
     let r = sweep.run(&SweepOptions {
         workers: jobs,
@@ -1812,33 +1067,26 @@ fn cmd_microbench(args: &Args) -> CliResult {
 }
 
 fn cmd_record(args: &Args) -> CliResult {
-    let bench = bench_by_name(
-        args.positional
-            .first()
-            .ok_or("usage: record <benchmark> <file>")?,
-    )?;
+    let bench = bench_arg(args, "usage: record <benchmark> <file>")?;
     let path = args
         .positional
         .get(1)
         .ok_or("usage: record <benchmark> <file>")?;
-    let instr = args.num("instr", 10_000)?;
-    let tid = args.num("tid", 0)? as usize;
-    let threads = args.num("threads", 32)? as usize;
-    let seed = args.num("seed", 42)?;
-    let profile = bench.profile().with_instructions(instr);
-    let n =
-        norush::workloads::record_to_file(path, ProfileStream::new(profile, tid, threads, seed))?;
+    let exp = ExperimentConfig {
+        instructions: args.num("instr", 10_000)?,
+        cores: args.num("threads", 32)? as usize,
+        seed: args.num("seed", 42)?,
+        ..ExperimentConfig::quick()
+    };
+    let (tid, threads) = (args.num("tid", 0)? as usize, exp.cores);
+    let n = norush::workloads::record_to_file(path, bench_stream(bench, &exp, tid))?;
     println!("recorded {n} instructions of {bench} (thread {tid}/{threads}) to {path}");
     Ok(())
 }
 
 fn cmd_replay(args: &Args) -> CliResult {
     let path = args.positional.first().ok_or("usage: replay <file>")?;
-    let policy = args
-        .flags
-        .get("policy")
-        .map(String::as_str)
-        .unwrap_or("eager");
+    let policy = args.policy("eager");
     let exp = ExperimentConfig {
         cores: 1,
         instructions: 0,
@@ -1847,8 +1095,7 @@ fn cmd_replay(args: &Args) -> CliResult {
         paper_caches: true,
         check: norush::common::config::CheckConfig::default(),
     };
-    let mut sys = system_for(policy, &exp)?;
-    sys.cores = 1;
+    let sys = with_policy_name(exp.system(), policy)?;
     let stream: Box<dyn InstrStream> = Box::new(TraceFileStream::open(path)?);
     let r = Machine::new(&sys, vec![stream])
         .run(exp.cycle_limit)
@@ -1957,7 +1204,7 @@ fn usage() -> CliResult {
         "              --replay HEX             re-execute one decision vector (needs --test)"
     );
     println!("checkpointing (run): --checkpoint-every K --ckpt-dir D --resume");
-    println!("policies: eager lazy row row-fwd far");
+    println!("policies: {}", POLICY_NAMES.join(" "));
     println!("litmus tests: {}", LitmusTest::names().join(" "));
     println!();
     println!("exit codes: 0 = clean; 1 = conformance violation, fuzz finding, soak/run");

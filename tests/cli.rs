@@ -61,14 +61,24 @@ fn usage_lists_every_subcommand_and_exit_codes() {
 
 #[test]
 fn config_errors_exit_nonzero_with_stderr() {
-    let cases: &[&[&str]] = &[
-        &["litmus", "--test", "nonesuch"],
-        &["explore", "--policy", "nonesuch"],
-        &["explore", "--replay", "00"], // --replay without --test
-        &["fuzz", "--kernel", "kv"],
-        &["run", "nonesuch"],
+    // Each case with a fragment its error message must contain.
+    let cases: &[(&[&str], &str)] = &[
+        (&["litmus", "--test", "nonesuch"], "nonesuch"),
+        (&["explore", "--policy", "nonesuch"], "nonesuch"),
+        (&["explore", "--replay", "00"], "--test"), // --replay without --test
+        (&["fuzz", "--kernel", "kv"], "kv"),
+        (&["run", "nonesuch"], "nonesuch"),
+        (
+            &["run", "pc", "--cores", "abc"],
+            "--cores: `abc` is not a number",
+        ),
+        (
+            &["run", "pc", "--seed", "-1"],
+            "--seed: `-1` is not a number",
+        ),
+        (&["soak", "--policies", "lazy,nonesuch"], "nonesuch"),
     ];
-    for args in cases {
+    for (args, fragment) in cases {
         let out = Command::new(BIN)
             .args(*args)
             .output()
@@ -78,9 +88,10 @@ fn config_errors_exit_nonzero_with_stderr() {
             "`norush {}` should fail",
             args.join(" ")
         );
+        let err = String::from_utf8_lossy(&out.stderr);
         assert!(
-            !out.stderr.is_empty(),
-            "`norush {}` failed silently",
+            err.contains(fragment),
+            "`norush {}` must name `{fragment}` on stderr: {err}",
             args.join(" ")
         );
     }
@@ -100,4 +111,44 @@ fn fuzz_kernel_error_names_real_kernels() {
             "fuzz --kernel error must name `{name}`: {err}"
         );
     }
+}
+
+/// `--policies` is one comma list for every subcommand: entries are
+/// trimmed and empty ones dropped.
+#[test]
+fn spaced_policy_lists_parse_alike() {
+    let dir = std::env::temp_dir().join(format!("norush-cli-policies-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    for (cmd, extra) in [
+        (
+            "soak",
+            &["--phases", "1", "--ops", "20", "--phase-cycles", "200000"][..],
+        ),
+        (
+            "litmus",
+            &["--test", "sb", "--samples", "1", "--jobs", "1"][..],
+        ),
+    ] {
+        let out = Command::new(BIN)
+            .args([cmd, "--policies", "lazy, row,"])
+            .args(extra)
+            .arg("--out")
+            .arg(dir.join(format!("{cmd}.json")))
+            .arg("--repro-dir")
+            .arg(dir.join(format!("{cmd}_repro")))
+            .output()
+            .expect("spawn norush");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "`norush {cmd}` failed:\n{err}");
+        let report = std::fs::read_to_string(dir.join(format!("{cmd}.json"))).expect("report");
+        for policy in ["lazy", "row"] {
+            assert!(report.contains(&format!("\"{policy}\"")), "{report}");
+        }
+        assert!(
+            !report.contains("\" row\""),
+            "entries are trimmed: {report}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
