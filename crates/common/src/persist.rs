@@ -558,6 +558,75 @@ impl<T: Codec, const N: usize> Codec for [T; N] {
     }
 }
 
+/// Encodes a fixed-size table of `len` entries sparsely: the number of
+/// entries that differ from `empty`, then each of them as `(index u64,
+/// entry)` in ascending index order. `entry(i)` reads entry `i`.
+///
+/// This is the snapshot form for every table whose size comes from the
+/// configuration (cache tag arrays, predictor tables): its bytes grow with
+/// the entries a run has touched, not with the table's capacity. The table
+/// length itself is config-derived and not written.
+pub fn encode_sparse<T: Codec + PartialEq>(
+    w: &mut Writer,
+    len: usize,
+    empty: &T,
+    entry: impl Fn(usize) -> T,
+) {
+    // One pass over the table: the count is patched in once known.
+    let at = w.buf.len();
+    w.put_len(0);
+    let mut live = 0u64;
+    for i in 0..len {
+        let e = entry(i);
+        if e != *empty {
+            w.put_len(i);
+            e.encode(w);
+            live += 1;
+        }
+    }
+    w.buf[at..at + 8].copy_from_slice(&live.to_le_bytes());
+}
+
+/// Decodes a table written by [`encode_sparse`], calling `put(index,
+/// entry)` for each listed entry. The caller resets the table to `empty`
+/// first: unlisted entries are empty. `put` may refuse an entry that is
+/// invalid at its index; its error is returned as is.
+///
+/// # Errors
+/// [`PersistError::Corrupt`] for an index at or beyond `len`, an index not
+/// strictly above the previous one, or an entry equal to `empty` (the
+/// encoder never writes one); [`PersistError::UnexpectedEof`] for a
+/// truncated stream.
+pub fn decode_sparse<T: Codec + PartialEq>(
+    r: &mut Reader<'_>,
+    len: usize,
+    empty: &T,
+    mut put: impl FnMut(usize, T) -> Result<(), PersistError>,
+) -> Result<(), PersistError> {
+    // Nothing is allocated from the count, and strictly increasing in-range
+    // indices bound it by `len`, so it needs no check of its own (and a
+    // short stream reads as truncated, not as a bad length prefix).
+    let live = r.get_u64()?;
+    let mut next = 0usize;
+    for _ in 0..live {
+        let i = r.get_u64()?;
+        if i >= len as u64 {
+            return Err(PersistError::Corrupt("sparse table index out of range"));
+        }
+        let i = i as usize;
+        if i < next {
+            return Err(PersistError::Corrupt("sparse table indices not increasing"));
+        }
+        let e = T::decode(r)?;
+        if e == *empty {
+            return Err(PersistError::Corrupt("sparse table lists an empty entry"));
+        }
+        put(i, e)?;
+        next = i + 1;
+    }
+    Ok(())
+}
+
 /// Round-trips a [`Codec`] value through bytes (test/debug helper).
 pub fn roundtrip<T: Codec>(value: &T) -> Result<T, PersistError> {
     let mut w = Writer::new();
@@ -688,6 +757,78 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    fn sparse_bytes(table: &[u16]) -> Vec<u8> {
+        let mut w = Writer::new();
+        encode_sparse(&mut w, table.len(), &0, |i| table[i]);
+        w.into_bytes()
+    }
+
+    fn decode_sparse_into(bytes: &[u8], len: usize) -> Result<Vec<u16>, PersistError> {
+        let mut table = vec![0u16; len];
+        decode_sparse(&mut Reader::new(bytes), len, &0, |i, v| {
+            table[i] = v;
+            Ok(())
+        })?;
+        Ok(table)
+    }
+
+    /// Hand-writes a sparse stream from `(index, value)` pairs.
+    fn raw_sparse(entries: &[(u64, u16)]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_len(entries.len());
+        for &(i, v) in entries {
+            w.put_u64(i);
+            w.put_u16(v);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn sparse_tables_round_trip_and_skip_empty_entries() {
+        let mut table = vec![0u16; 1000];
+        table[0] = 5;
+        table[17] = 9;
+        table[999] = 1;
+        let bytes = sparse_bytes(&table);
+        assert_eq!(bytes.len(), 8 + 3 * (8 + 2), "only the live entries");
+        assert_eq!(decode_sparse_into(&bytes, 1000).unwrap(), table);
+        assert_eq!(sparse_bytes(&[0; 64]).len(), 8, "an empty table is a count");
+    }
+
+    #[test]
+    fn sparse_decoding_rejects_malformed_indices_and_empty_entries() {
+        for (entries, what) in [
+            (&[(4, 1)][..], "sparse table index out of range"),
+            (&[(u64::MAX, 1)], "sparse table index out of range"),
+            (&[(2, 1), (2, 1)], "sparse table indices not increasing"),
+            (&[(3, 1), (1, 1)], "sparse table indices not increasing"),
+            (&[(1, 0)], "sparse table lists an empty entry"),
+        ] {
+            assert_eq!(
+                decode_sparse_into(&raw_sparse(entries), 4),
+                Err(PersistError::Corrupt(what)),
+                "{entries:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn truncated_sparse_stream_is_eof() {
+        let bytes = sparse_bytes(&[0, 3, 0, 7]);
+        for cut in 8..bytes.len() {
+            assert_eq!(
+                decode_sparse_into(&bytes[..cut], 4),
+                Err(PersistError::UnexpectedEof),
+                "cut at {cut}"
+            );
+        }
+        // A cut inside the count: the reader sees a short u64.
+        assert_eq!(
+            decode_sparse_into(&bytes[..5], 4),
+            Err(PersistError::UnexpectedEof)
+        );
     }
 
     #[test]

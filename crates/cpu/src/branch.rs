@@ -7,14 +7,16 @@
 //! standard provider/altpred, useful-bit, and allocation-on-mispredict rules.
 
 use row_common::ids::Pc;
-use row_common::persist::{Codec, Persist, PersistError, Reader, Writer};
+use row_common::persist::{
+    decode_sparse, encode_sparse, Codec, Persist, PersistError, Reader, Writer,
+};
 
 const BIMODAL_BITS: usize = 12; // 4096 entries
 const TAGGED_ENTRIES_BITS: usize = 10; // 1024 entries per table
 const TAG_BITS: u32 = 8;
 const HISTORIES: [usize; 4] = [8, 24, 64, 128];
 
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 struct TaggedEntry {
     tag: u16,
     ctr: i8, // -4..=3, taken when >= 0
@@ -224,11 +226,17 @@ impl Codec for TaggedEntry {
         w.put_u8(self.useful);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(TaggedEntry {
+        let e = TaggedEntry {
             tag: r.get_u16()?,
             ctr: i8::decode(r)?,
             useful: r.get_u8()?,
-        })
+        };
+        // The ranges `update` and `allocate` keep; anything else would
+        // overflow the counter arithmetic.
+        if e.tag >= 1 << TAG_BITS || !(-4..=3).contains(&e.ctr) || e.useful > 3 {
+            return Err(PersistError::Corrupt("tagged predictor entry out of range"));
+        }
+        Ok(e)
     }
 }
 
@@ -246,27 +254,34 @@ impl Codec for BranchStats {
 }
 
 impl Persist for TageLite {
+    // Table sizes are fixed; only entries that left their cleared value are
+    // written.
     fn persist(&self, w: &mut Writer) {
-        self.bimodal.encode(w);
-        self.tables.encode(w);
+        encode_sparse(w, self.bimodal.len(), &0, |i| self.bimodal[i]);
+        for table in &self.tables {
+            encode_sparse(w, table.len(), &TaggedEntry::default(), |i| table[i]);
+        }
         w.put_u128(self.hist.bits);
         w.put_u32(self.lfsr);
         self.stats.encode(w);
     }
     fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), PersistError> {
-        let bimodal = Vec::<i8>::decode(r)?;
-        let tables = Vec::<Vec<TaggedEntry>>::decode(r)?;
-        if bimodal.len() != self.bimodal.len()
-            || tables.len() != self.tables.len()
-            || tables
-                .iter()
-                .zip(&self.tables)
-                .any(|(a, b)| a.len() != b.len())
-        {
-            return Err(PersistError::Corrupt("branch predictor geometry mismatch"));
+        self.bimodal.fill(0);
+        let bimodal = &mut self.bimodal;
+        decode_sparse(r, bimodal.len(), &0, |i, v: i8| {
+            if !(-2..=1).contains(&v) {
+                return Err(PersistError::Corrupt("bimodal counter out of range"));
+            }
+            bimodal[i] = v;
+            Ok(())
+        })?;
+        for table in &mut self.tables {
+            table.fill(TaggedEntry::default());
+            decode_sparse(r, table.len(), &TaggedEntry::default(), |i, e| {
+                table[i] = e;
+                Ok(())
+            })?;
         }
-        self.bimodal = bimodal;
-        self.tables = tables;
         self.hist = History {
             bits: r.get_u128()?,
         };
@@ -347,5 +362,102 @@ mod tests {
         };
         assert!((s.mpki_rate() - 0.07).abs() < 1e-12);
         assert_eq!(BranchStats::default().mpki_rate(), 0.0);
+    }
+
+    /// A hand-written snapshot: bimodal entries, tagged entries of table 0,
+    /// three empty tagged tables, then history, LFSR and counters.
+    fn raw_snapshot(bimodal: &[(u64, i8)], tagged: &[(u64, TaggedEntry)]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_len(bimodal.len());
+        for &(i, v) in bimodal {
+            w.put_u64(i);
+            v.encode(&mut w);
+        }
+        w.put_len(tagged.len());
+        for &(i, e) in tagged {
+            w.put_u64(i);
+            e.encode(&mut w);
+        }
+        for _ in 1..HISTORIES.len() {
+            w.put_len(0);
+        }
+        w.put_u128(0b1011);
+        w.put_u32(0xace1);
+        BranchStats::default().encode(&mut w);
+        w.into_bytes()
+    }
+
+    fn restore_from(bytes: &[u8]) -> Result<TageLite, PersistError> {
+        let mut bp = TageLite::new();
+        bp.restore(&mut Reader::new(bytes))?;
+        Ok(bp)
+    }
+
+    #[test]
+    fn snapshot_round_trips_and_lists_only_trained_entries() {
+        let mut bp = TageLite::new();
+        train(&mut bp, Pc::new(0x200), &[true, false, false], 50);
+        let mut w = Writer::new();
+        bp.persist(&mut w);
+        let bytes = w.into_bytes();
+        assert!(
+            bytes.len() < 1024,
+            "{} bytes for one trained branch",
+            bytes.len()
+        );
+        let mut back = restore_from(&bytes).unwrap();
+        let mut again = Writer::new();
+        back.persist(&mut again);
+        assert_eq!(again.into_bytes(), bytes);
+        // The restored predictor keeps predicting like the original.
+        assert_eq!(
+            train(&mut back, Pc::new(0x200), &[true, false, false], 5),
+            train(&mut bp, Pc::new(0x200), &[true, false, false], 5)
+        );
+    }
+
+    #[test]
+    fn malformed_snapshots_are_corrupt_not_panics() {
+        let live = TaggedEntry {
+            tag: 3,
+            ctr: 1,
+            useful: 0,
+        };
+        for bytes in [
+            raw_snapshot(&[(1 << BIMODAL_BITS, 1)], &[]),
+            raw_snapshot(&[(5, 1), (5, 1)], &[]),
+            raw_snapshot(&[(6, 1), (5, 1)], &[]),
+            raw_snapshot(&[(5, 0)], &[]),
+            raw_snapshot(&[], &[(1 << TAGGED_ENTRIES_BITS, live)]),
+            raw_snapshot(&[], &[(9, live), (2, live)]),
+            raw_snapshot(&[], &[(9, TaggedEntry::default())]),
+            raw_snapshot(&[(5, 2)], &[]),
+            raw_snapshot(&[], &[(9, TaggedEntry { ctr: 4, ..live })]),
+            raw_snapshot(&[], &[(9, TaggedEntry { useful: 4, ..live })]),
+            raw_snapshot(&[], &[(9, TaggedEntry { tag: 256, ..live })]),
+        ] {
+            assert!(matches!(
+                restore_from(&bytes),
+                Err(PersistError::Corrupt(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn truncated_snapshot_is_eof() {
+        let live = TaggedEntry {
+            tag: 3,
+            ctr: -2,
+            useful: 1,
+        };
+        let bytes = raw_snapshot(&[(0, -1), (7, 1)], &[(4, live)]);
+        assert!(restore_from(&bytes).is_ok());
+        for cut in 0..bytes.len() {
+            assert_eq!(
+                restore_from(&bytes[..cut]).err(),
+                Some(PersistError::UnexpectedEof),
+                "cut at {cut}"
+            );
+        }
     }
 }

@@ -9,7 +9,7 @@
 //! id to the most recently dispatched in-flight store of that set.
 
 use row_common::ids::Pc;
-use row_common::persist::{Codec, Persist, PersistError, Reader, Writer};
+use row_common::persist::{decode_sparse, encode_sparse, Persist, PersistError, Reader, Writer};
 
 const SSIT_BITS: usize = 10; // 1024 entries
 const MAX_SETS: usize = 256;
@@ -114,19 +114,28 @@ impl Default for StoreSets {
 }
 
 impl Persist for StoreSets {
+    // Both tables are fixed-size; only assigned entries are written.
     fn persist(&self, w: &mut Writer) {
-        self.ssit.encode(w);
-        self.lfst.encode(w);
+        encode_sparse(w, self.ssit.len(), &None, |i| self.ssit[i]);
+        encode_sparse(w, self.lfst.len(), &None, |i| self.lfst[i]);
         w.put_u16(self.next_set);
     }
     fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), PersistError> {
-        let ssit = Vec::<Option<u16>>::decode(r)?;
-        let lfst = Vec::<Option<u64>>::decode(r)?;
-        if ssit.len() != self.ssit.len() || lfst.len() != self.lfst.len() {
-            return Err(PersistError::Corrupt("store-set table size mismatch"));
-        }
-        self.ssit = ssit;
-        self.lfst = lfst;
+        let ssit = &mut self.ssit;
+        ssit.fill(None);
+        decode_sparse(r, ssit.len(), &None, |i, set: Option<u16>| {
+            if set.is_some_and(|s| usize::from(s) >= MAX_SETS) {
+                return Err(PersistError::Corrupt("store-set id out of range"));
+            }
+            ssit[i] = set;
+            Ok(())
+        })?;
+        let lfst = &mut self.lfst;
+        lfst.fill(None);
+        decode_sparse(r, lfst.len(), &None, |i, uid| {
+            lfst[i] = uid;
+            Ok(())
+        })?;
         self.next_set = r.get_u16()?;
         Ok(())
     }
@@ -135,6 +144,7 @@ impl Persist for StoreSets {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use row_common::persist::Codec;
 
     #[test]
     fn untrained_loads_speculate() {
@@ -193,5 +203,82 @@ mod tests {
         ss.train_violation(Pc::new(0x10), Pc::new(0x20));
         ss.store_dispatched(Pc::new(0x20), 1);
         assert!(ss.dependence_for_load(Pc::new(0x5000)).is_none());
+    }
+
+    /// A hand-written snapshot: SSIT entries, LFST entries, `next_set`.
+    fn raw_snapshot(ssit: &[(u64, Option<u16>)], lfst: &[(u64, Option<u64>)]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_len(ssit.len());
+        for &(i, set) in ssit {
+            w.put_u64(i);
+            set.encode(&mut w);
+        }
+        w.put_len(lfst.len());
+        for &(i, uid) in lfst {
+            w.put_u64(i);
+            uid.encode(&mut w);
+        }
+        w.put_u16(1);
+        w.into_bytes()
+    }
+
+    fn restore_from(bytes: &[u8]) -> Result<StoreSets, PersistError> {
+        let mut ss = StoreSets::new();
+        ss.restore(&mut Reader::new(bytes))?;
+        Ok(ss)
+    }
+
+    #[test]
+    fn snapshot_round_trips_trained_sets() {
+        let mut ss = StoreSets::new();
+        let (ld, st) = (Pc::new(0x100), Pc::new(0x200));
+        ss.train_violation(ld, st);
+        ss.store_dispatched(st, 42);
+        let mut w = Writer::new();
+        ss.persist(&mut w);
+        let bytes = w.into_bytes();
+        // Two SSIT entries and one LFST entry, not 1280 slots.
+        assert_eq!(bytes, {
+            let (li, si) = (StoreSets::idx(ld) as u64, StoreSets::idx(st) as u64);
+            let mut ssit = [(li, Some(0)), (si, Some(0))];
+            ssit.sort();
+            raw_snapshot(&ssit, &[(0, Some(42))])
+        });
+        assert_eq!(
+            restore_from(&bytes).unwrap().dependence_for_load(ld),
+            Some(42)
+        );
+    }
+
+    #[test]
+    fn malformed_snapshots_are_corrupt_not_panics() {
+        for bytes in [
+            raw_snapshot(&[(1 << SSIT_BITS, Some(0))], &[]),
+            raw_snapshot(&[(4, Some(0)), (4, Some(0))], &[]),
+            raw_snapshot(&[(4, Some(0)), (3, Some(0))], &[]),
+            raw_snapshot(&[(4, None)], &[]),
+            raw_snapshot(&[(4, Some(MAX_SETS as u16))], &[]),
+            raw_snapshot(&[], &[(MAX_SETS as u64, Some(1))]),
+            raw_snapshot(&[], &[(2, Some(1)), (1, Some(1))]),
+            raw_snapshot(&[], &[(2, None)]),
+        ] {
+            assert!(matches!(
+                restore_from(&bytes),
+                Err(PersistError::Corrupt(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn truncated_snapshot_is_eof() {
+        let bytes = raw_snapshot(&[(3, Some(1)), (9, Some(0))], &[(1, Some(77))]);
+        assert!(restore_from(&bytes).is_ok());
+        for cut in 0..bytes.len() {
+            assert_eq!(
+                restore_from(&bytes[..cut]).err(),
+                Some(PersistError::UnexpectedEof),
+                "cut at {cut}"
+            );
+        }
     }
 }

@@ -7,7 +7,9 @@
 
 use row_common::config::CacheConfig;
 use row_common::ids::LineAddr;
-use row_common::persist::{Codec, Persist, PersistError, Reader, Writer};
+use row_common::persist::{
+    decode_sparse, encode_sparse, Codec, Persist, PersistError, Reader, Writer,
+};
 
 /// Outcome of inserting a line into a [`CacheArray`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -22,14 +24,11 @@ pub enum Insert {
     NoVictim,
 }
 
-#[derive(Clone, Debug)]
-struct Way {
-    tag: Option<LineAddr>,
-    /// Larger = more recently used.
-    lru: u64,
-}
-
 /// Set-associative tag array with true-LRU replacement.
+///
+/// Ways are zero-is-empty words, so a fresh array is untouched zero pages:
+/// resident memory and snapshot size grow with the lines a run caches, not
+/// with the configured capacity.
 ///
 /// # Example
 /// ```
@@ -45,8 +44,17 @@ struct Way {
 pub struct CacheArray {
     sets: usize,
     ways: usize,
-    data: Vec<Way>,
+    /// `line + 1` per way; 0 marks an empty way.
+    tags: Vec<u64>,
+    /// Per way: larger = more recently used; 0 for an empty way.
+    lru: Vec<u64>,
     tick: u64,
+}
+
+/// The stored word for `line`. Line numbers are byte addresses shifted by
+/// `LINE_SHIFT`, so `line + 1` never wraps to the empty word.
+fn tag_of(line: LineAddr) -> u64 {
+    line.raw() + 1
 }
 
 impl CacheArray {
@@ -59,17 +67,25 @@ impl CacheArray {
         CacheArray {
             sets,
             ways: cfg.ways,
-            data: vec![Way { tag: None, lru: 0 }; sets * cfg.ways],
+            tags: vec![0; sets * cfg.ways],
+            lru: vec![0; sets * cfg.ways],
             tick: 0,
         }
     }
 
-    fn set_of(&self, line: LineAddr) -> usize {
-        (line.raw() as usize) % self.sets
+    /// Index of the first way of `line`'s set.
+    fn set_base(&self, line: LineAddr) -> usize {
+        ((line.raw() as usize) % self.sets) * self.ways
     }
 
-    fn set_slice(&mut self, set: usize) -> &mut [Way] {
-        &mut self.data[set * self.ways..(set + 1) * self.ways]
+    /// Way index of `line` if present.
+    fn find(&self, line: LineAddr) -> Option<usize> {
+        let base = self.set_base(line);
+        let tag = tag_of(line);
+        self.tags[base..base + self.ways]
+            .iter()
+            .position(|&t| t == tag)
+            .map(|w| base + w)
     }
 
     /// Number of sets.
@@ -84,24 +100,19 @@ impl CacheArray {
 
     /// Whether `line` is present (does not update LRU).
     pub fn contains(&self, line: LineAddr) -> bool {
-        let set = self.set_of(line);
-        self.data[set * self.ways..(set + 1) * self.ways]
-            .iter()
-            .any(|w| w.tag == Some(line))
+        self.find(line).is_some()
     }
 
     /// Looks up `line`, refreshing LRU on hit.
     pub fn touch(&mut self, line: LineAddr) -> bool {
         self.tick += 1;
-        let tick = self.tick;
-        let set = self.set_of(line);
-        for w in self.set_slice(set) {
-            if w.tag == Some(line) {
-                w.lru = tick;
-                return true;
+        match self.find(line) {
+            Some(i) => {
+                self.lru[i] = self.tick;
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// Inserts `line`, evicting the LRU way among those for which
@@ -109,84 +120,103 @@ impl CacheArray {
     /// chosen as victims.
     pub fn insert(&mut self, line: LineAddr, evictable: impl Fn(LineAddr) -> bool) -> Insert {
         self.tick += 1;
-        let tick = self.tick;
-        let set = self.set_of(line);
-        let slice = self.set_slice(set);
-        // Already present?
-        for w in slice.iter_mut() {
-            if w.tag == Some(line) {
-                w.lru = tick;
-                return Insert::Hit;
-            }
+        if let Some(i) = self.find(line) {
+            self.lru[i] = self.tick;
+            return Insert::Hit;
         }
-        // Empty way?
-        for w in slice.iter_mut() {
-            if w.tag.is_none() {
-                w.tag = Some(line);
-                w.lru = tick;
-                return Insert::Placed;
-            }
-        }
-        // LRU among evictable ways.
-        let victim = slice
-            .iter_mut()
-            .filter(|w| w.tag.is_some_and(&evictable))
-            .min_by_key(|w| w.lru);
-        match victim {
-            Some(w) => {
-                let old = w.tag.expect("victim has a tag");
-                w.tag = Some(line);
-                w.lru = tick;
-                Insert::Evicted(old)
-            }
-            None => Insert::NoVictim,
-        }
+        let base = self.set_base(line);
+        let set = base..base + self.ways;
+        let (i, result) = match self.tags[set.clone()].iter().position(|&t| t == 0) {
+            Some(w) => (base + w, Insert::Placed),
+            // Every way is occupied: LRU among the evictable ones.
+            None => match set
+                .filter(|&i| evictable(LineAddr::new(self.tags[i] - 1)))
+                .min_by_key(|&i| self.lru[i])
+            {
+                Some(i) => (i, Insert::Evicted(LineAddr::new(self.tags[i] - 1))),
+                None => return Insert::NoVictim,
+            },
+        };
+        self.tags[i] = tag_of(line);
+        self.lru[i] = self.tick;
+        result
     }
 
     /// Removes `line` if present; returns whether it was present.
     pub fn invalidate(&mut self, line: LineAddr) -> bool {
-        let set = self.set_of(line);
-        for w in self.set_slice(set) {
-            if w.tag == Some(line) {
-                w.tag = None;
-                w.lru = 0;
-                return true;
+        match self.find(line) {
+            Some(i) => {
+                self.tags[i] = 0;
+                self.lru[i] = 0;
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// Number of resident lines (O(capacity); for tests/stats).
     pub fn occupancy(&self) -> usize {
-        self.data.iter().filter(|w| w.tag.is_some()).count()
+        self.tags.iter().filter(|&&t| t != 0).count()
     }
 }
 
+/// One way in a snapshot: the stored tag word and its LRU stamp.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct Way {
+    tag: u64,
+    lru: u64,
+}
+
+const EMPTY_WAY: Way = Way { tag: 0, lru: 0 };
+
 impl Codec for Way {
     fn encode(&self, w: &mut Writer) {
-        self.tag.encode(w);
+        w.put_u64(self.tag);
         w.put_u64(self.lru);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(Way {
-            tag: Option::<LineAddr>::decode(r)?,
+        let way = Way {
+            tag: r.get_u64()?,
             lru: r.get_u64()?,
-        })
+        };
+        if way.tag == 0 {
+            return Err(PersistError::Corrupt(
+                "occupied cache way with an empty tag",
+            ));
+        }
+        Ok(way)
     }
 }
 
 impl Persist for CacheArray {
-    // Geometry (sets/ways) is config-derived; tags and LRU state are mutable.
+    // Geometry (sets/ways) is config-derived; only occupied ways and the
+    // LRU clock are written.
     fn persist(&self, w: &mut Writer) {
-        self.data.encode(w);
+        // An empty way's LRU word is 0 and is not read.
+        encode_sparse(w, self.tags.len(), &EMPTY_WAY, |i| match self.tags[i] {
+            0 => EMPTY_WAY,
+            tag => Way {
+                tag,
+                lru: self.lru[i],
+            },
+        });
         w.put_u64(self.tick);
     }
     fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), PersistError> {
-        let data = Vec::<Way>::decode(r)?;
-        if data.len() != self.data.len() {
-            return Err(PersistError::Corrupt("cache array geometry mismatch"));
-        }
-        self.data = data;
+        // Fresh zero pages rather than a fill, which would fault in every way.
+        let n = self.tags.len();
+        self.tags = vec![0; n];
+        self.lru = vec![0; n];
+        let (sets, ways) = (self.sets, self.ways);
+        let (tags, lru) = (&mut self.tags, &mut self.lru);
+        decode_sparse(r, n, &EMPTY_WAY, |i, way| {
+            if ((way.tag - 1) as usize) % sets != i / ways {
+                return Err(PersistError::Corrupt("cache line outside its set"));
+            }
+            tags[i] = way.tag;
+            lru[i] = way.lru;
+            Ok(())
+        })?;
         self.tick = r.get_u64()?;
         Ok(())
     }
@@ -286,5 +316,74 @@ mod tests {
             assert_eq!(c.insert(LineAddr::new(k), |_| true), Insert::Placed);
         }
         assert_eq!(c.occupancy(), 4);
+    }
+
+    /// A hand-written snapshot of `tiny(2, 4)`: `(index, tag word, lru)`
+    /// entries, then the clock.
+    fn raw_snapshot(ways: &[(u64, u64, u64)], tick: u64) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_len(ways.len());
+        for &(i, tag, lru) in ways {
+            w.put_u64(i);
+            w.put_u64(tag);
+            w.put_u64(lru);
+        }
+        w.put_u64(tick);
+        w.into_bytes()
+    }
+
+    fn restore_from(bytes: &[u8]) -> Result<CacheArray, PersistError> {
+        let mut c = tiny(2, 4);
+        c.restore(&mut Reader::new(bytes))?;
+        Ok(c)
+    }
+
+    #[test]
+    fn snapshot_lists_only_occupied_ways_and_round_trips() {
+        let mut c = tiny(2, 4);
+        c.insert(LineAddr::new(0), |_| true);
+        c.insert(LineAddr::new(6), |_| true);
+        c.touch(LineAddr::new(0));
+        let mut w = Writer::new();
+        c.persist(&mut w);
+        let bytes = w.into_bytes();
+        // Line 0 sits in way 0 as tag word 1; line 6 in set 2's first way.
+        assert_eq!(bytes, raw_snapshot(&[(0, 1, 3), (4, 7, 2)], 3));
+        let back = restore_from(&bytes).unwrap();
+        assert_eq!(back.occupancy(), 2);
+        assert!(back.contains(LineAddr::new(0)) && back.contains(LineAddr::new(6)));
+    }
+
+    #[test]
+    fn malformed_snapshots_are_corrupt_not_panics() {
+        for ways in [
+            &[(8, 1, 1)][..],        // index past the last way
+            &[(2, 2, 1), (2, 2, 1)], // repeated index
+            &[(3, 2, 1), (1, 1, 1)], // decreasing index
+            &[(1, 0, 0)],            // an explicitly encoded empty way
+            &[(1, 0, 5)],            // an empty tag with a live LRU stamp
+            &[(0, 2, 1)],            // line 1 stored in set 0
+        ] {
+            assert!(
+                matches!(
+                    restore_from(&raw_snapshot(ways, 9)),
+                    Err(PersistError::Corrupt(_))
+                ),
+                "{ways:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn truncated_snapshot_is_eof() {
+        let bytes = raw_snapshot(&[(0, 1, 1), (5, 7, 2)], 2);
+        assert!(restore_from(&bytes).is_ok());
+        for cut in 0..bytes.len() {
+            assert_eq!(
+                restore_from(&bytes[..cut]).err(),
+                Some(PersistError::UnexpectedEof),
+                "cut at {cut}"
+            );
+        }
     }
 }

@@ -171,6 +171,167 @@ fn cache_array_capacity_and_presence() {
     }
 }
 
+/// The seed-era layout of a cache array, kept as a naive reference model:
+/// one `Option<(line, lru)>` per way, true LRU over the evictable ways.
+struct ModelArray {
+    sets: usize,
+    ways: usize,
+    data: Vec<Option<(LineAddr, u64)>>,
+    tick: u64,
+}
+
+impl ModelArray {
+    fn new(sets: usize, ways: usize) -> Self {
+        ModelArray {
+            sets,
+            ways,
+            data: vec![None; sets * ways],
+            tick: 0,
+        }
+    }
+
+    fn set(&mut self, line: LineAddr) -> &mut [Option<(LineAddr, u64)>] {
+        let s = (line.raw() % self.sets as u64) as usize;
+        &mut self.data[s * self.ways..(s + 1) * self.ways]
+    }
+
+    fn contains(&mut self, line: LineAddr) -> bool {
+        self.set(line)
+            .iter()
+            .any(|w| matches!(w, Some((l, _)) if *l == line))
+    }
+
+    fn touch(&mut self, line: LineAddr) -> bool {
+        self.tick += 1;
+        let tick = self.tick;
+        match self
+            .set(line)
+            .iter_mut()
+            .flatten()
+            .find(|(l, _)| *l == line)
+        {
+            Some(w) => {
+                w.1 = tick;
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn insert(&mut self, line: LineAddr, evictable: impl Fn(LineAddr) -> bool) -> Insert {
+        self.tick += 1;
+        let tick = self.tick;
+        let set = self.set(line);
+        if let Some(w) = set.iter_mut().flatten().find(|(l, _)| *l == line) {
+            w.1 = tick;
+            return Insert::Hit;
+        }
+        if let Some(w) = set.iter_mut().find(|w| w.is_none()) {
+            *w = Some((line, tick));
+            return Insert::Placed;
+        }
+        match set
+            .iter_mut()
+            .filter(|w| w.is_some_and(|(l, _)| evictable(l)))
+            .min_by_key(|w| w.map(|(_, lru)| lru))
+        {
+            Some(w) => {
+                let (old, _) = w.replace((line, tick)).expect("occupied");
+                Insert::Evicted(old)
+            }
+            None => Insert::NoVictim,
+        }
+    }
+
+    fn invalidate(&mut self, line: LineAddr) -> bool {
+        match self
+            .set(line)
+            .iter_mut()
+            .find(|w| matches!(w, Some((l, _)) if *l == line))
+        {
+            Some(w) => {
+                *w = None;
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn occupancy(&self) -> usize {
+        self.data.iter().flatten().count()
+    }
+}
+
+/// `CacheArray` (zero-is-empty `line + 1` words) matches the naive model on
+/// seeded random insert / touch / invalidate traffic with random pinning,
+/// including line 0 and line numbers near the top of the address space, and
+/// a persist → restore into a fresh array at random points continues
+/// identically.
+#[test]
+fn cache_array_matches_reference_model() {
+    use row_common::persist::{Persist, Reader, Writer};
+
+    let mut g = SplitMix64::new(0x3e3_0004);
+    for _case in 0..48 {
+        let ways = 1 + g.below(6) as usize;
+        let sets = 1usize << g.below(4);
+        let cfg = CacheConfig {
+            size_bytes: ways * sets * 64,
+            ways,
+            hit_latency: 1,
+        };
+        let mut c = CacheArray::new(cfg);
+        let mut m = ModelArray::new(sets, ways);
+        // A pool about twice the capacity, so hits, placements, evictions
+        // and all-pinned sets all happen.
+        let top = (1u64 << 58) - 1;
+        let pool: Vec<LineAddr> = (0..(2 * ways * sets) as u64 + 2)
+            .map(|k| match k % 3 {
+                0 => LineAddr::new(k / 3),
+                1 => LineAddr::new(top - k / 3),
+                _ => LineAddr::new(u64::MAX - 1 - k / 3),
+            })
+            .collect();
+        assert_eq!(pool[0], LineAddr::new(0));
+        for step in 0..400 {
+            let line = pool[g.below(pool.len() as u64) as usize];
+            match g.below(8) {
+                0..=3 => {
+                    // Pin a random subset of the pool for this insertion.
+                    let mask = g.next_u64();
+                    let pinned = |l: LineAddr| {
+                        let i = pool.iter().position(|&p| p == l).expect("pool line");
+                        (mask >> (i % 64)) & 3 == 0
+                    };
+                    let got = c.insert(line, |l| !pinned(l));
+                    assert_eq!(got, m.insert(line, |l| !pinned(l)), "insert at {step}");
+                }
+                4 | 5 => assert_eq!(c.touch(line), m.touch(line), "touch at {step}"),
+                6 => assert_eq!(
+                    c.invalidate(line),
+                    m.invalidate(line),
+                    "invalidate at {step}"
+                ),
+                _ => {
+                    let mut w = Writer::new();
+                    c.persist(&mut w);
+                    let bytes = w.into_bytes();
+                    let mut fresh = CacheArray::new(cfg);
+                    let mut r = Reader::new(&bytes);
+                    fresh.restore(&mut r).expect("restore");
+                    assert!(r.is_empty(), "restore consumes the snapshot");
+                    c = fresh;
+                }
+            }
+            assert_eq!(c.contains(line), m.contains(line), "contains at {step}");
+            assert_eq!(c.occupancy(), m.occupancy(), "occupancy at {step}");
+        }
+        for &line in &pool {
+            assert_eq!(c.contains(line), m.contains(line));
+        }
+    }
+}
+
 /// Functional word store: last write wins per 8-byte word.
 #[test]
 fn word_store_last_write_wins() {

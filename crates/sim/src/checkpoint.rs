@@ -39,7 +39,12 @@ pub const MAGIC: &[u8; 8] = b"ROWCKPT\n";
 ///
 /// v4: each core payload gained the explorer's pending atomic commit-release
 /// decision (`(uid, release cycle)`, usually `None`) after the load log.
-pub const FORMAT_VERSION: u32 = 4;
+///
+/// v5: cache tag arrays and the branch and store-set predictor tables are
+/// sparse: each lists only its non-empty entries as `(index, entry)` in
+/// ascending index order, so a snapshot grows with the lines and predictor
+/// entries a run touched instead of with the configured capacity.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Writes `bytes` to `path` atomically: the data lands in `<path>.tmp` first
 /// and is renamed over `path` only once fully flushed, so a reader (or a

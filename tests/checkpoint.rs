@@ -13,8 +13,9 @@ use norush::common::persist::{fnv1a, PersistError};
 use norush::common::rng::SplitMix64;
 use norush::cpu::instr::{Instr, InstrStream, Op, RmwKind, VecStream};
 use norush::mem::PrivState;
+use norush::sim::experiment::bench_streams;
 use norush::sim::{Machine, SimError};
-use norush::SystemConfig;
+use norush::{Benchmark, ExperimentConfig, SystemConfig};
 
 fn faa_program(n: u64, addrs: &[u64], seed: u64) -> Vec<Instr> {
     let mut rng = SplitMix64::new(seed);
@@ -331,4 +332,53 @@ fn rewind_off_preserves_plain_errors() {
     }
     let err = m.run_for(50_000_000).expect_err("the sweep must catch it");
     assert!(matches!(err, SimError::Protocol(_)), "got {err}");
+}
+
+/// Snapshots grow with the state a run touched, not with the configured
+/// capacity: cache tag arrays and predictor tables list only their
+/// non-empty entries. A dense field added to the payload shows up here as a
+/// failure rather than as a slow explorer or soak.
+#[test]
+fn fresh_snapshots_stay_small_at_every_scale() {
+    let paper = ExperimentConfig::paper();
+    let fresh = Machine::new(&paper.system(), bench_streams(Benchmark::Canneal, &paper))
+        .checkpoint()
+        .expect("fresh paper-scale checkpoint");
+    assert!(
+        fresh.len() < 256 * 1024,
+        "fresh Table I machine checkpoints to {} bytes",
+        fresh.len()
+    );
+    let small = machine(&SystemConfig::small(4))
+        .checkpoint()
+        .expect("fresh small checkpoint");
+    assert!(
+        small.len() < 32 * 1024,
+        "fresh small(4) machine checkpoints to {} bytes",
+        small.len()
+    );
+}
+
+/// Bit-exactness at paper scale (32 cores, Table I caches) from a
+/// mid-run snapshot of canneal, whose random footprint keeps the private
+/// caches evicting.
+#[test]
+fn paper_scale_round_trip_is_bit_exact() {
+    let exp = ExperimentConfig {
+        instructions: 1_500,
+        ..ExperimentConfig::paper()
+    };
+    let sys = exp.system();
+    let build = || Machine::new(&sys, bench_streams(Benchmark::Canneal, &exp));
+    let mut a = build();
+    assert!(a.run_for(3_000).expect("clean prefix").is_none());
+    let snap = a.checkpoint().expect("mid-run checkpoint");
+    let ra = a.run_for(exp.cycle_limit).expect("run").expect("drains");
+    let final_a = a.checkpoint().expect("final checkpoint");
+
+    let mut b = build();
+    b.restore(&snap).expect("restore into fresh machine");
+    let rb = b.run_for(exp.cycle_limit).expect("run").expect("drains");
+    assert_eq!(format!("{ra:?}"), format!("{rb:?}"));
+    assert_eq!(final_a, b.checkpoint().expect("final checkpoint"));
 }
