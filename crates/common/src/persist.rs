@@ -558,33 +558,34 @@ impl<T: Codec, const N: usize> Codec for [T; N] {
     }
 }
 
-/// Encodes a fixed-size table of `len` entries sparsely: the number of
-/// entries that differ from `empty`, then each of them as `(index u64,
-/// entry)` in ascending index order. `entry(i)` reads entry `i`.
+/// Encodes a fixed-size table sparsely from its live entries: the number of
+/// entries, then each as `(index u64, entry)`. `live` yields the entries
+/// that differ from `empty`, in strictly increasing index order.
 ///
 /// This is the snapshot form for every table whose size comes from the
 /// configuration (cache tag arrays, predictor tables): its bytes grow with
 /// the entries a run has touched, not with the table's capacity. The table
-/// length itself is config-derived and not written.
+/// length itself is config-derived and not written, and the encoder never
+/// visits the entries `live` skips.
 pub fn encode_sparse<T: Codec + PartialEq>(
     w: &mut Writer,
-    len: usize,
     empty: &T,
-    entry: impl Fn(usize) -> T,
+    live: impl IntoIterator<Item = (usize, T)>,
 ) {
-    // One pass over the table: the count is patched in once known.
+    // One pass over the entries: the count is patched in once known.
     let at = w.buf.len();
     w.put_len(0);
-    let mut live = 0u64;
-    for i in 0..len {
-        let e = entry(i);
-        if e != *empty {
-            w.put_len(i);
-            e.encode(w);
-            live += 1;
-        }
+    let mut count = 0u64;
+    let mut next = 0usize;
+    for (i, e) in live {
+        debug_assert!(i >= next, "sparse entries must have increasing indices");
+        debug_assert!(e != *empty, "sparse entries must not be empty");
+        next = i + 1;
+        w.put_len(i);
+        e.encode(w);
+        count += 1;
     }
-    w.buf[at..at + 8].copy_from_slice(&live.to_le_bytes());
+    w.buf[at..at + 8].copy_from_slice(&count.to_le_bytes());
 }
 
 /// Decodes a table written by [`encode_sparse`], calling `put(index,
@@ -761,7 +762,8 @@ mod tests {
 
     fn sparse_bytes(table: &[u16]) -> Vec<u8> {
         let mut w = Writer::new();
-        encode_sparse(&mut w, table.len(), &0, |i| table[i]);
+        let live = table.iter().copied().enumerate().filter(|&(_, v)| v != 0);
+        encode_sparse(&mut w, &0, live);
         w.into_bytes()
     }
 
@@ -795,6 +797,20 @@ mod tests {
         assert_eq!(bytes.len(), 8 + 3 * (8 + 2), "only the live entries");
         assert_eq!(decode_sparse_into(&bytes, 1000).unwrap(), table);
         assert_eq!(sparse_bytes(&[0; 64]).len(), 8, "an empty table is a count");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "increasing indices")]
+    fn sparse_encoding_refuses_out_of_order_entries() {
+        encode_sparse(&mut Writer::new(), &0u16, [(3, 1), (3, 2)]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "must not be empty")]
+    fn sparse_encoding_refuses_empty_entries() {
+        encode_sparse(&mut Writer::new(), &0u16, [(1, 0)]);
     }
 
     #[test]

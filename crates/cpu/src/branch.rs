@@ -257,9 +257,12 @@ impl Persist for TageLite {
     // Table sizes are fixed; only entries that left their cleared value are
     // written.
     fn persist(&self, w: &mut Writer) {
-        encode_sparse(w, self.bimodal.len(), &0, |i| self.bimodal[i]);
+        let bimodal = self.bimodal.iter().copied().enumerate();
+        encode_sparse(w, &0, bimodal.filter(|&(_, v)| v != 0));
+        let empty = TaggedEntry::default();
         for table in &self.tables {
-            encode_sparse(w, table.len(), &TaggedEntry::default(), |i| table[i]);
+            let live = table.iter().copied().enumerate();
+            encode_sparse(w, &empty, live.filter(|&(_, e)| e != empty));
         }
         w.put_u128(self.hist.bits);
         w.put_u32(self.lfsr);

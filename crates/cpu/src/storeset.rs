@@ -116,8 +116,10 @@ impl Default for StoreSets {
 impl Persist for StoreSets {
     // Both tables are fixed-size; only assigned entries are written.
     fn persist(&self, w: &mut Writer) {
-        encode_sparse(w, self.ssit.len(), &None, |i| self.ssit[i]);
-        encode_sparse(w, self.lfst.len(), &None, |i| self.lfst[i]);
+        let ssit = self.ssit.iter().copied().enumerate();
+        encode_sparse(w, &None, ssit.filter(|(_, set)| set.is_some()));
+        let lfst = self.lfst.iter().copied().enumerate();
+        encode_sparse(w, &None, lfst.filter(|(_, uid)| uid.is_some()));
         w.put_u16(self.next_set);
     }
     fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), PersistError> {

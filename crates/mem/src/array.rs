@@ -26,8 +26,9 @@ pub enum Insert {
 
 /// Set-associative tag array with true-LRU replacement.
 ///
-/// Ways are zero-is-empty words, so a fresh array is untouched zero pages:
-/// resident memory and snapshot size grow with the lines a run caches, not
+/// A set gets storage for its ways on its first fill; lookups and
+/// invalidations of a set without storage miss without allocating. Resident
+/// memory and snapshot size therefore grow with the sets a run fills, not
 /// with the configured capacity.
 ///
 /// # Example
@@ -44,9 +45,13 @@ pub enum Insert {
 pub struct CacheArray {
     sets: usize,
     ways: usize,
-    /// `line + 1` per way; 0 marks an empty way.
+    /// Per set: 0 while the set has no storage, else 1 + its block number.
+    slot: Vec<u32>,
+    /// One block of `ways` words per set with storage: `line + 1` per way,
+    /// 0 for an empty way.
     tags: Vec<u64>,
-    /// Per way: larger = more recently used; 0 for an empty way.
+    /// Per way, parallel to `tags`: larger = more recently used; 0 for an
+    /// empty way.
     lru: Vec<u64>,
     tick: u64,
 }
@@ -58,7 +63,7 @@ fn tag_of(line: LineAddr) -> u64 {
 }
 
 impl CacheArray {
-    /// Builds an array from a geometry description.
+    /// Builds an array from a geometry description. No set has storage yet.
     ///
     /// # Panics
     /// Panics if the geometry does not divide into whole sets.
@@ -67,20 +72,42 @@ impl CacheArray {
         CacheArray {
             sets,
             ways: cfg.ways,
-            tags: vec![0; sets * cfg.ways],
-            lru: vec![0; sets * cfg.ways],
+            slot: vec![0; sets],
+            tags: Vec::new(),
+            lru: Vec::new(),
             tick: 0,
         }
     }
 
-    /// Index of the first way of `line`'s set.
-    fn set_base(&self, line: LineAddr) -> usize {
-        ((line.raw() as usize) % self.sets) * self.ways
+    /// `line`'s set.
+    fn set_of(&self, line: LineAddr) -> usize {
+        (line.raw() as usize) % self.sets
     }
 
-    /// Way index of `line` if present.
+    /// Index in `tags` of the first way of `set`, if the set has storage.
+    fn block(&self, set: usize) -> Option<usize> {
+        match self.slot[set] {
+            0 => None,
+            s => Some((s as usize - 1) * self.ways),
+        }
+    }
+
+    /// Index in `tags` of the first way of `set`, giving the set storage
+    /// (all ways empty) if it has none.
+    fn storage(&mut self, set: usize) -> usize {
+        if let Some(base) = self.block(set) {
+            return base;
+        }
+        let base = self.tags.len();
+        self.tags.resize(base + self.ways, 0);
+        self.lru.resize(base + self.ways, 0);
+        self.slot[set] = u32::try_from(base / self.ways + 1).expect("set count fits u32");
+        base
+    }
+
+    /// Index in `tags` of `line`'s way if present.
     fn find(&self, line: LineAddr) -> Option<usize> {
-        let base = self.set_base(line);
+        let base = self.block(self.set_of(line))?;
         let tag = tag_of(line);
         self.tags[base..base + self.ways]
             .iter()
@@ -124,12 +151,12 @@ impl CacheArray {
             self.lru[i] = self.tick;
             return Insert::Hit;
         }
-        let base = self.set_base(line);
-        let set = base..base + self.ways;
-        let (i, result) = match self.tags[set.clone()].iter().position(|&t| t == 0) {
+        let base = self.storage(self.set_of(line));
+        let ways = base..base + self.ways;
+        let (i, result) = match self.tags[ways.clone()].iter().position(|&t| t == 0) {
             Some(w) => (base + w, Insert::Placed),
             // Every way is occupied: LRU among the evictable ones.
-            None => match set
+            None => match ways
                 .filter(|&i| evictable(LineAddr::new(self.tags[i] - 1)))
                 .min_by_key(|&i| self.lru[i])
             {
@@ -154,9 +181,14 @@ impl CacheArray {
         }
     }
 
-    /// Number of resident lines (O(capacity); for tests/stats).
+    /// Number of resident lines (O(sets with storage); for tests/stats).
     pub fn occupancy(&self) -> usize {
         self.tags.iter().filter(|&&t| t != 0).count()
+    }
+
+    /// Number of sets that have storage (for tests/stats).
+    pub fn sets_with_storage(&self) -> usize {
+        self.tags.len() / self.ways
     }
 }
 
@@ -190,31 +222,39 @@ impl Codec for Way {
 
 impl Persist for CacheArray {
     // Geometry (sets/ways) is config-derived; only occupied ways and the
-    // LRU clock are written.
+    // LRU clock are written. Ways are numbered `set * ways + way` whatever
+    // order the sets got storage in, so equal contents give equal bytes.
     fn persist(&self, w: &mut Writer) {
-        // An empty way's LRU word is 0 and is not read.
-        encode_sparse(w, self.tags.len(), &EMPTY_WAY, |i| match self.tags[i] {
-            0 => EMPTY_WAY,
-            tag => Way {
-                tag,
-                lru: self.lru[i],
-            },
-        });
+        let ways = self.ways;
+        let live = (0..self.sets)
+            .filter_map(|set| self.block(set).map(|base| (set, base)))
+            .flat_map(|(set, base)| {
+                (0..ways).filter_map(move |way| match self.tags[base + way] {
+                    0 => None,
+                    tag => Some((
+                        set * ways + way,
+                        Way {
+                            tag,
+                            lru: self.lru[base + way],
+                        },
+                    )),
+                })
+            });
+        encode_sparse(w, &EMPTY_WAY, live);
         w.put_u64(self.tick);
     }
     fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), PersistError> {
-        // Fresh zero pages rather than a fill, which would fault in every way.
-        let n = self.tags.len();
-        self.tags = vec![0; n];
-        self.lru = vec![0; n];
-        let (sets, ways) = (self.sets, self.ways);
-        let (tags, lru) = (&mut self.tags, &mut self.lru);
-        decode_sparse(r, n, &EMPTY_WAY, |i, way| {
-            if ((way.tag - 1) as usize) % sets != i / ways {
+        self.slot.fill(0);
+        self.tags.clear();
+        self.lru.clear();
+        decode_sparse(r, self.sets * self.ways, &EMPTY_WAY, |i, way| {
+            let set = i / self.ways;
+            if ((way.tag - 1) as usize) % self.sets != set {
                 return Err(PersistError::Corrupt("cache line outside its set"));
             }
-            tags[i] = way.tag;
-            lru[i] = way.lru;
+            let at = self.storage(set) + i % self.ways;
+            self.tags[at] = way.tag;
+            self.lru[at] = way.lru;
             Ok(())
         })?;
         self.tick = r.get_u64()?;
@@ -316,6 +356,49 @@ mod tests {
             assert_eq!(c.insert(LineAddr::new(k), |_| true), Insert::Placed);
         }
         assert_eq!(c.occupancy(), 4);
+    }
+
+    #[test]
+    fn fresh_table_one_l3_bank_has_no_set_storage() {
+        let c = CacheArray::new(row_common::config::MemoryConfig::alder_lake().l3_bank);
+        assert!(c.sets() > 1000);
+        assert_eq!(c.sets_with_storage(), 0);
+        assert!(c.tags.capacity() == 0 && c.lru.capacity() == 0);
+    }
+
+    #[test]
+    fn fills_in_distinct_sets_give_exactly_those_sets_storage() {
+        let mut c = tiny(4, 64);
+        for (k, set) in [9usize, 0, 63, 17, 5].into_iter().enumerate() {
+            c.insert(line_in_set(set, 0, 64), |_| true);
+            // A second line in the same set reuses that set's storage.
+            c.insert(line_in_set(set, 1, 64), |_| true);
+            assert_eq!(c.sets_with_storage(), k + 1);
+        }
+        assert_eq!(c.occupancy(), 10);
+    }
+
+    #[test]
+    fn misses_on_sets_without_storage_allocate_nothing() {
+        let mut c = tiny(2, 4);
+        assert!(!c.contains(LineAddr::new(3)));
+        assert!(!c.touch(LineAddr::new(3)));
+        assert!(!c.invalidate(LineAddr::new(3)));
+        assert_eq!(c.sets_with_storage(), 0);
+        // The missed touch still advanced the clock.
+        c.insert(LineAddr::new(3), |_| true);
+        assert_eq!(c.lru[0], 2);
+    }
+
+    #[test]
+    fn restoring_an_empty_snapshot_gives_no_set_storage() {
+        let mut c = tiny(2, 4);
+        c.insert(LineAddr::new(1), |_| true);
+        let empty = raw_snapshot(&[], 7);
+        c.restore(&mut Reader::new(&empty)).unwrap();
+        assert_eq!(c.sets_with_storage(), 0);
+        assert_eq!(c.occupancy(), 0);
+        assert_eq!(c.tick, 7);
     }
 
     /// A hand-written snapshot of `tiny(2, 4)`: `(index, tag word, lru)`

@@ -11,6 +11,7 @@
 
 use row_common::config::{CacheConfig, SystemConfig};
 use row_common::ids::{Addr, CoreId, LineAddr};
+use row_common::persist::{encode_sparse, Persist, Reader, Writer};
 use row_common::rng::SplitMix64;
 use row_common::Cycle;
 use row_mem::array::{CacheArray, Insert};
@@ -262,15 +263,39 @@ impl ModelArray {
     }
 }
 
-/// `CacheArray` (zero-is-empty `line + 1` words) matches the naive model on
-/// seeded random insert / touch / invalidate traffic with random pinning,
-/// including line 0 and line numbers near the top of the address space, and
-/// a persist → restore into a fresh array at random points continues
-/// identically.
+impl ModelArray {
+    /// The model's snapshot: its occupied ways as `(set * ways + way,
+    /// (line + 1, lru))` through the sparse encoder, then the clock — the
+    /// bytes `CacheArray` must write for the same contents.
+    fn snapshot(&self) -> Vec<u8> {
+        let live = self
+            .data
+            .iter()
+            .enumerate()
+            .filter_map(|(i, w)| w.map(|(l, lru)| (i, (l.raw() + 1, lru))));
+        let mut w = Writer::new();
+        encode_sparse(&mut w, &(0, 0), live);
+        w.put_u64(self.tick);
+        w.into_bytes()
+    }
+}
+
+fn snapshot(c: &CacheArray) -> Vec<u8> {
+    let mut w = Writer::new();
+    c.persist(&mut w);
+    w.into_bytes()
+}
+
+/// `CacheArray` (zero-is-empty `line + 1` words, storage given to a set on
+/// its first fill) matches the naive model on seeded random insert / touch
+/// / invalidate traffic with random pinning, including line 0 and line
+/// numbers near the top of the address space. Sets first fill in a
+/// shuffled order, yet at random points the snapshot equals the model's
+/// dense table encoded sparsely; a restore into a fresh array persists the
+/// same bytes and continues identically; and misses never give a set
+/// storage.
 #[test]
 fn cache_array_matches_reference_model() {
-    use row_common::persist::{Persist, Reader, Writer};
-
     let mut g = SplitMix64::new(0x3e3_0004);
     for _case in 0..48 {
         let ways = 1 + g.below(6) as usize;
@@ -293,9 +318,25 @@ fn cache_array_matches_reference_model() {
             })
             .collect();
         assert_eq!(pool[0], LineAddr::new(0));
+        // Traffic starts by inserting the pool lines of half the sets, taken
+        // in shuffled order, so sets get storage in an order unrelated to
+        // their index.
+        let mut order: Vec<usize> = (0..sets).collect();
+        for i in (1..sets).rev() {
+            order.swap(i, g.below(i as u64 + 1) as usize);
+        }
+        let warm: Vec<LineAddr> = order[..sets.div_ceil(2)]
+            .iter()
+            .flat_map(|&s| pool.iter().filter(move |l| l.raw() as usize % sets == s))
+            .copied()
+            .collect();
         for step in 0..400 {
-            let line = pool[g.below(pool.len() as u64) as usize];
-            match g.below(8) {
+            let (line, op) = match warm.get(step) {
+                Some(&line) => (line, 0),
+                None => (pool[g.below(pool.len() as u64) as usize], g.below(8)),
+            };
+            let storage = c.sets_with_storage();
+            match op {
                 0..=3 => {
                     // Pin a random subset of the pool for this insertion.
                     let mask = g.next_u64();
@@ -305,25 +346,40 @@ fn cache_array_matches_reference_model() {
                     };
                     let got = c.insert(line, |l| !pinned(l));
                     assert_eq!(got, m.insert(line, |l| !pinned(l)), "insert at {step}");
+                    assert!(c.sets_with_storage() - storage <= 1, "insert at {step}");
                 }
-                4 | 5 => assert_eq!(c.touch(line), m.touch(line), "touch at {step}"),
-                6 => assert_eq!(
-                    c.invalidate(line),
-                    m.invalidate(line),
-                    "invalidate at {step}"
-                ),
+                4 | 5 => {
+                    let hit = c.touch(line);
+                    assert_eq!(hit, m.touch(line), "touch at {step}");
+                    assert!(hit || c.sets_with_storage() == storage, "touch at {step}");
+                }
+                6 => {
+                    let hit = c.invalidate(line);
+                    assert_eq!(hit, m.invalidate(line), "invalidate at {step}");
+                    assert!(
+                        hit || c.sets_with_storage() == storage,
+                        "invalidate at {step}"
+                    );
+                }
                 _ => {
-                    let mut w = Writer::new();
-                    c.persist(&mut w);
-                    let bytes = w.into_bytes();
+                    let bytes = snapshot(&c);
+                    assert_eq!(bytes, m.snapshot(), "snapshot at {step}");
                     let mut fresh = CacheArray::new(cfg);
                     let mut r = Reader::new(&bytes);
                     fresh.restore(&mut r).expect("restore");
                     assert!(r.is_empty(), "restore consumes the snapshot");
+                    assert_eq!(snapshot(&fresh), bytes, "restore -> persist at {step}");
+                    // Only the sets the snapshot lists get storage.
+                    let filled = (0..sets)
+                        .filter(|s| m.data[s * ways..(s + 1) * ways].iter().any(Option::is_some))
+                        .count();
+                    assert_eq!(fresh.sets_with_storage(), filled, "restore at {step}");
                     c = fresh;
                 }
             }
+            let storage = c.sets_with_storage();
             assert_eq!(c.contains(line), m.contains(line), "contains at {step}");
+            assert_eq!(c.sets_with_storage(), storage, "contains at {step}");
             assert_eq!(c.occupancy(), m.occupancy(), "occupancy at {step}");
         }
         for &line in &pool {

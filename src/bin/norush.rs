@@ -434,7 +434,19 @@ fn cmd_profile(args: &Args) -> CliResult {
         p.other_s(),
         pct(p.other_s())
     );
+    if let Some(mib) = peak_rss_mib() {
+        println!("  peak rss          {mib:.1} MiB");
+    }
     Ok(())
+}
+
+/// Peak resident set of this process in MiB (`VmHWM`), where the platform
+/// reports it.
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib: f64 = kib.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kib / 1024.0)
 }
 
 /// Parses the soak flags over the library defaults, range-checked up front

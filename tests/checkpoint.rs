@@ -382,3 +382,42 @@ fn paper_scale_round_trip_is_bit_exact() {
     assert_eq!(format!("{ra:?}"), format!("{rb:?}"));
     assert_eq!(final_a, b.checkpoint().expect("final checkpoint"));
 }
+
+/// `(length, fnv1a)` of a checkpoint of `bench` on `sys` after `cycles`.
+fn checkpoint_fingerprint(
+    sys: &SystemConfig,
+    exp: &ExperimentConfig,
+    bench: Benchmark,
+    cycles: u64,
+) -> (usize, u64) {
+    let mut m = Machine::new(sys, bench_streams(bench, exp));
+    assert!(m.run_for(cycles).expect("clean prefix").is_none());
+    let snap = m.checkpoint().expect("mid-run checkpoint");
+    (snap.len(), fnv1a(&snap))
+}
+
+/// Golden checkpoint bytes. A change to how any component lays out its
+/// state in memory must not change what it writes: a snapshot format change
+/// bumps `FORMAT_VERSION` and re-records these values with it.
+#[test]
+fn checkpoint_bytes_are_pinned() {
+    let small = ExperimentConfig {
+        cores: 4,
+        ..ExperimentConfig::quick()
+    };
+    assert_eq!(
+        checkpoint_fingerprint(&SystemConfig::small(4), &small, Benchmark::Pc, 5_000),
+        (86_811, 1578977513332644178),
+        "small(4) pc after 5000 cycles"
+    );
+    let paper = ExperimentConfig {
+        instructions: 5_000,
+        seed: 7,
+        ..ExperimentConfig::paper()
+    };
+    assert_eq!(
+        checkpoint_fingerprint(&paper.system(), &paper, Benchmark::Canneal, 20_000),
+        (2_920_655, 16118763281516253104),
+        "paper-scale canneal after 20000 cycles"
+    );
+}
