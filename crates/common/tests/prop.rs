@@ -4,36 +4,103 @@
 //! assertions from the crate's own deterministic [`SplitMix64`] so the suite
 //! builds with no external dependencies (the build environment is offline).
 
+use std::collections::BTreeMap;
+
 use row_common::clock::{Cycle, TIMESTAMP_MODULUS};
+use row_common::persist::{Codec, Reader, Writer};
 use row_common::rng::SplitMix64;
 use row_common::sched::EventQueue;
 
-/// Events always pop in nondecreasing cycle order, FIFO within a cycle.
+/// One model step's expectation: the queue pops exactly the model's
+/// smallest `(cycle, seq)` entry whose cycle is `<= now`.
+fn pop_both(
+    q: &mut EventQueue<u64>,
+    model: &mut BTreeMap<(u64, u64), u64>,
+    now: u64,
+) -> Option<u64> {
+    let want = match model.first_entry() {
+        Some(e) if e.key().0 <= now => Some(e.remove()),
+        _ => None,
+    };
+    assert_eq!(q.pop_ready(Cycle::new(now)), want, "pop at {now}");
+    want
+}
+
+/// The model's delivery-order encoding: the wire format `EventQueue`
+/// promises (length, then `(cycle, item)` by cycle, FIFO within a cycle).
+fn model_bytes(model: &BTreeMap<(u64, u64), u64>) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.put_len(model.len());
+    for (&(at, _), item) in model {
+        Cycle::new(at).encode(&mut w);
+        item.encode(&mut w);
+    }
+    w.into_bytes()
+}
+
+/// Seeded interleavings of pushes (near and far), pops at an advancing
+/// `now` with jumps, same-cycle pushes after empty probes, and mid-run
+/// codec round trips, checked step by step against a `BTreeMap` keyed by
+/// `(cycle, insertion seq)`.
 #[test]
-fn event_queue_orders_any_schedule() {
+fn event_queue_matches_a_reference_model() {
     let mut rng = SplitMix64::new(0x5eed_0001);
-    for _ in 0..64 {
-        let n = 1 + rng.below(200) as usize;
-        let pushes: Vec<(u64, u32)> = (0..n)
-            .map(|_| (rng.below(1000), rng.below(100) as u32))
-            .collect();
+    for _ in 0..48 {
         let mut q = EventQueue::new();
-        for (i, &(at, tag)) in pushes.iter().enumerate() {
-            q.push(Cycle::new(at), (at, i, tag));
-        }
-        let mut last: Option<(u64, usize)> = None;
-        let mut popped = 0;
-        while let Some((at, i, _)) = q.pop_ready(Cycle::new(1000)) {
-            if let Some((pat, pi)) = last {
-                assert!(
-                    at > pat || (at == pat && i > pi),
-                    "out of order: ({at},{i}) after ({pat},{pi})"
-                );
+        let mut model = BTreeMap::new();
+        let (mut now, mut seq) = (0u64, 0u64);
+        for _ in 0..600 {
+            match rng.below(8) {
+                // Pushes at `now + 0..1000`: most land past the window.
+                0..=2 => {
+                    for _ in 0..1 + rng.below(4) {
+                        let at = now + rng.below(1000);
+                        let item = rng.next_u64();
+                        q.push(Cycle::new(at), item);
+                        model.insert((at, seq), item);
+                        seq += 1;
+                    }
+                }
+                // Drain what is due, then (sometimes) push at the probed
+                // cycle: it must still deliver this cycle.
+                3 | 4 => {
+                    while pop_both(&mut q, &mut model, now).is_some() {}
+                    if rng.below(2) == 0 {
+                        let item = rng.next_u64();
+                        q.push(Cycle::new(now), item);
+                        model.insert((now, seq), item);
+                        seq += 1;
+                        assert_eq!(pop_both(&mut q, &mut model, now), Some(item));
+                    }
+                }
+                // A single pop, so drains also stop part-way through a cycle.
+                5 => {
+                    pop_both(&mut q, &mut model, now);
+                }
+                // Advance `now`: usually a step, sometimes a jump.
+                6 => {
+                    now += if rng.below(4) == 0 {
+                        rng.below(3000)
+                    } else {
+                        1 + rng.below(3)
+                    };
+                }
+                // Checkpoint: encode, compare, decode and continue on the copy.
+                _ => {
+                    let mut w = Writer::new();
+                    q.encode(&mut w);
+                    let bytes = w.into_bytes();
+                    assert_eq!(bytes, model_bytes(&model));
+                    q = Codec::decode(&mut Reader::new(&bytes)).expect("round trip");
+                }
             }
-            last = Some((at, i));
-            popped += 1;
+            assert_eq!(q.len(), model.len());
+            let next = model.keys().next().map(|&(at, _)| Cycle::new(at));
+            assert_eq!(q.next_cycle(), next);
         }
-        assert_eq!(popped, pushes.len());
+        now += 1000;
+        while pop_both(&mut q, &mut model, now).is_some() {}
+        assert!(q.is_empty() && model.is_empty());
     }
 }
 

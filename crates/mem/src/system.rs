@@ -410,11 +410,6 @@ impl MemorySystem {
         }
     }
 
-    /// Earliest cycle at which a pending message wants to be delivered.
-    pub fn next_event_cycle(&self) -> Option<Cycle> {
-        self.net.next_cycle()
-    }
-
     /// Routes one protocol message from `from` to `to`: mesh timing, then
     /// either the bare-frame fast path (reliable network, optionally delay-
     /// jittered) or the sequenced lossy transport.
