@@ -336,13 +336,22 @@ impl<K: FastKey + Codec, V: Codec> Codec for FastMap<K, V> {
             self.vals[i as usize].encode(w);
         }
     }
+    /// # Errors
+    /// [`PersistError::Corrupt`] for a key not above the one before it: the
+    /// encoder writes keys strictly ascending, so a repeated or unsorted key
+    /// is a damaged image, not a map.
     fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let n = r.get_len()?;
         let mut m = FastMap::new();
+        let mut prev: Option<K> = None;
         for _ in 0..n {
             let k = K::decode(r)?;
+            if prev.is_some_and(|p| k <= p) {
+                return Err(PersistError::Corrupt("map keys not strictly increasing"));
+            }
             let v = V::decode(r)?;
             m.insert(k, v);
+            prev = Some(k);
         }
         Ok(m)
     }
@@ -426,6 +435,32 @@ mod tests {
         let mut ws = Writer::new();
         std.encode(&mut ws);
         assert_eq!(wf.into_bytes(), ws.into_bytes());
+    }
+
+    #[test]
+    fn decode_refuses_repeated_and_descending_keys() {
+        let image = |pairs: &[(u64, u32)]| {
+            let mut w = Writer::new();
+            w.put_len(pairs.len());
+            for (k, v) in pairs {
+                k.encode(&mut w);
+                v.encode(&mut w);
+            }
+            w.into_bytes()
+        };
+        let decode = |bytes: &[u8]| FastMap::<u64, u32>::decode(&mut Reader::new(bytes));
+        let m = decode(&image(&[(2, 1), (3, 2), (9, 3)])).expect("canonical image");
+        assert_eq!((m.len(), m.get(&3)), (3, Some(&2)));
+        for bad in [
+            &[(2, 1), (2, 5)][..],
+            &[(3, 1), (2, 2)],
+            &[(1, 1), (9, 2), (4, 3)],
+        ] {
+            assert!(
+                matches!(decode(&image(bad)), Err(PersistError::Corrupt(_))),
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]

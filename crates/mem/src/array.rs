@@ -7,14 +7,12 @@
 
 use row_common::config::CacheConfig;
 use row_common::ids::LineAddr;
-use row_common::persist::{
-    decode_sparse, encode_sparse, Codec, Persist, PersistError, Reader, Writer,
-};
+use row_common::persist::{decode_sparse, encode_sparse, Persist, PersistError, Reader, Writer};
 
 /// Outcome of inserting a line into a [`CacheArray`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Insert {
-    /// The line was already present (refreshed LRU).
+    /// The line was already present (now the most recently used).
     Hit,
     /// Inserted into an empty/invalid way.
     Placed,
@@ -25,6 +23,11 @@ pub enum Insert {
 }
 
 /// Set-associative tag array with true-LRU replacement.
+///
+/// Each set keeps its occupied ways in recency order: the most recently used
+/// way first, the least recently used last, empty ways packed at the tail.
+/// A hit or fill moves its way to the front, so the order itself is the LRU
+/// state and no per-way stamp or clock is kept.
 ///
 /// A set gets storage for its ways on its first fill; lookups and
 /// invalidations of a set without storage miss without allocating. Resident
@@ -47,13 +50,9 @@ pub struct CacheArray {
     ways: usize,
     /// Per set: 0 while the set has no storage, else 1 + its block number.
     slot: Vec<u32>,
-    /// One block of `ways` words per set with storage: `line + 1` per way,
-    /// 0 for an empty way.
+    /// One block of `ways` words per set with storage, most recently used
+    /// first: `line + 1` per occupied way, then 0 for each empty way.
     tags: Vec<u64>,
-    /// Per way, parallel to `tags`: larger = more recently used; 0 for an
-    /// empty way.
-    lru: Vec<u64>,
-    tick: u64,
 }
 
 /// The stored word for `line`. Line numbers are byte addresses shifted by
@@ -74,8 +73,6 @@ impl CacheArray {
             ways: cfg.ways,
             slot: vec![0; sets],
             tags: Vec::new(),
-            lru: Vec::new(),
-            tick: 0,
         }
     }
 
@@ -100,19 +97,27 @@ impl CacheArray {
         }
         let base = self.tags.len();
         self.tags.resize(base + self.ways, 0);
-        self.lru.resize(base + self.ways, 0);
         self.slot[set] = u32::try_from(base / self.ways + 1).expect("set count fits u32");
         base
     }
 
-    /// Index in `tags` of `line`'s way if present.
-    fn find(&self, line: LineAddr) -> Option<usize> {
+    /// `(first way of its set, index in tags)` of `line`'s way if present.
+    /// The scan stops at the first empty way: occupied ways are a prefix.
+    fn find(&self, line: LineAddr) -> Option<(usize, usize)> {
         let base = self.block(self.set_of(line))?;
         let tag = tag_of(line);
         self.tags[base..base + self.ways]
             .iter()
+            .take_while(|&&t| t != 0)
             .position(|&t| t == tag)
-            .map(|w| base + w)
+            .map(|w| (base, base + w))
+    }
+
+    /// Shifts the ways `base..i` back by one, dropping way `i`, and stores
+    /// `word` as the set's most recently used way.
+    fn move_to_front(&mut self, base: usize, i: usize, word: u64) {
+        self.tags.copy_within(base..i, base + 1);
+        self.tags[base] = word;
     }
 
     /// Number of sets.
@@ -130,12 +135,11 @@ impl CacheArray {
         self.find(line).is_some()
     }
 
-    /// Looks up `line`, refreshing LRU on hit.
+    /// Looks up `line`, making it the most recently used on hit.
     pub fn touch(&mut self, line: LineAddr) -> bool {
-        self.tick += 1;
         match self.find(line) {
-            Some(i) => {
-                self.lru[i] = self.tick;
+            Some((base, i)) => {
+                self.move_to_front(base, i, self.tags[i]);
                 true
             }
             None => false,
@@ -146,35 +150,34 @@ impl CacheArray {
     /// `evictable` returns `true`. Pinned (non-evictable) lines are never
     /// chosen as victims.
     pub fn insert(&mut self, line: LineAddr, evictable: impl Fn(LineAddr) -> bool) -> Insert {
-        self.tick += 1;
-        if let Some(i) = self.find(line) {
-            self.lru[i] = self.tick;
+        if let Some((base, i)) = self.find(line) {
+            self.move_to_front(base, i, self.tags[i]);
             return Insert::Hit;
         }
         let base = self.storage(self.set_of(line));
         let ways = base..base + self.ways;
         let (i, result) = match self.tags[ways.clone()].iter().position(|&t| t == 0) {
             Some(w) => (base + w, Insert::Placed),
-            // Every way is occupied: LRU among the evictable ones.
+            // Every way is occupied: the least recent evictable one.
             None => match ways
-                .filter(|&i| evictable(LineAddr::new(self.tags[i] - 1)))
-                .min_by_key(|&i| self.lru[i])
+                .rev()
+                .find(|&i| evictable(LineAddr::new(self.tags[i] - 1)))
             {
                 Some(i) => (i, Insert::Evicted(LineAddr::new(self.tags[i] - 1))),
                 None => return Insert::NoVictim,
             },
         };
-        self.tags[i] = tag_of(line);
-        self.lru[i] = self.tick;
+        self.move_to_front(base, i, tag_of(line));
         result
     }
 
     /// Removes `line` if present; returns whether it was present.
     pub fn invalidate(&mut self, line: LineAddr) -> bool {
         match self.find(line) {
-            Some(i) => {
-                self.tags[i] = 0;
-                self.lru[i] = 0;
+            Some((base, i)) => {
+                let end = base + self.ways;
+                self.tags.copy_within(i + 1..end, i);
+                self.tags[end - 1] = 0;
                 true
             }
             None => false,
@@ -192,73 +195,48 @@ impl CacheArray {
     }
 }
 
-/// One way in a snapshot: the stored tag word and its LRU stamp.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-struct Way {
-    tag: u64,
-    lru: u64,
-}
-
-const EMPTY_WAY: Way = Way { tag: 0, lru: 0 };
-
-impl Codec for Way {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.tag);
-        w.put_u64(self.lru);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let way = Way {
-            tag: r.get_u64()?,
-            lru: r.get_u64()?,
-        };
-        if way.tag == 0 {
-            return Err(PersistError::Corrupt(
-                "occupied cache way with an empty tag",
-            ));
-        }
-        Ok(way)
-    }
-}
-
 impl Persist for CacheArray {
-    // Geometry (sets/ways) is config-derived; only occupied ways and the
-    // LRU clock are written. Ways are numbered `set * ways + way` whatever
-    // order the sets got storage in, so equal contents give equal bytes.
+    // Geometry (sets/ways) is config-derived; only occupied ways are
+    // written, as tag words numbered `set * ways + rank` (rank 0 = most
+    // recently used) whatever order the sets got storage in, so equal
+    // contents give equal bytes.
     fn persist(&self, w: &mut Writer) {
         let ways = self.ways;
         let live = (0..self.sets)
             .filter_map(|set| self.block(set).map(|base| (set, base)))
             .flat_map(|(set, base)| {
-                (0..ways).filter_map(move |way| match self.tags[base + way] {
-                    0 => None,
-                    tag => Some((
-                        set * ways + way,
-                        Way {
-                            tag,
-                            lru: self.lru[base + way],
-                        },
-                    )),
-                })
+                self.tags[base..base + ways]
+                    .iter()
+                    .take_while(|&&t| t != 0)
+                    .enumerate()
+                    .map(move |(rank, &tag)| (set * ways + rank, tag))
             });
-        encode_sparse(w, &EMPTY_WAY, live);
-        w.put_u64(self.tick);
+        encode_sparse(w, &0u64, live);
     }
     fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), PersistError> {
         self.slot.fill(0);
         self.tags.clear();
-        self.lru.clear();
-        decode_sparse(r, self.sets * self.ways, &EMPTY_WAY, |i, way| {
-            let set = i / self.ways;
-            if ((way.tag - 1) as usize) % self.sets != set {
+        // Index of the previous entry + 1: a rank past 0 must follow its
+        // predecessor in the same set directly.
+        let mut next = 0;
+        decode_sparse(r, self.sets * self.ways, &0u64, |i, tag| {
+            let (set, rank) = (i / self.ways, i % self.ways);
+            if rank > 0 && next != i {
+                return Err(PersistError::Corrupt(
+                    "cache set with an empty way before an occupied one",
+                ));
+            }
+            if ((tag - 1) as usize) % self.sets != set {
                 return Err(PersistError::Corrupt("cache line outside its set"));
             }
-            let at = self.storage(set) + i % self.ways;
-            self.tags[at] = way.tag;
-            self.lru[at] = way.lru;
+            let base = self.storage(set);
+            if self.tags[base..base + rank].contains(&tag) {
+                return Err(PersistError::Corrupt("cache line in two ways of one set"));
+            }
+            self.tags[base + rank] = tag;
+            next = i + 1;
             Ok(())
-        })?;
-        self.tick = r.get_u64()?;
-        Ok(())
+        })
     }
 }
 
@@ -358,12 +336,62 @@ mod tests {
         assert_eq!(c.occupancy(), 4);
     }
 
+    /// The tag words of `set`, most recently used first.
+    fn order(c: &CacheArray, set: usize) -> &[u64] {
+        let base = c.block(set).expect("set has storage");
+        &c.tags[base..base + c.ways]
+    }
+
+    #[test]
+    fn hits_and_fills_move_to_the_front_and_invalidate_closes_the_gap() {
+        let mut c = tiny(4, 4);
+        let [a, b, d, e] = [0, 1, 2, 3].map(|k| line_in_set(1, k, 4));
+        let word = |l: LineAddr| l.raw() + 1;
+        c.insert(a, |_| true);
+        c.insert(b, |_| true);
+        c.insert(d, |_| true);
+        assert_eq!(order(&c, 1), [word(d), word(b), word(a), 0]);
+        assert!(c.touch(a));
+        assert_eq!(order(&c, 1), [word(a), word(d), word(b), 0]);
+        assert_eq!(c.insert(b, |_| true), Insert::Hit);
+        assert_eq!(order(&c, 1), [word(b), word(a), word(d), 0]);
+        assert!(c.invalidate(a));
+        assert_eq!(order(&c, 1), [word(b), word(d), 0, 0]);
+        c.insert(a, |_| true);
+        c.insert(e, |_| true);
+        assert_eq!(order(&c, 1), [word(e), word(a), word(b), word(d)]);
+        // Full set: the victim is the last evictable way, here `b` because
+        // `d` is pinned, and the rest keep their order.
+        let f = line_in_set(1, 4, 4);
+        assert_eq!(c.insert(f, |l| l != d), Insert::Evicted(b));
+        assert_eq!(order(&c, 1), [word(f), word(e), word(a), word(d)]);
+    }
+
     #[test]
     fn fresh_table_one_l3_bank_has_no_set_storage() {
         let c = CacheArray::new(row_common::config::MemoryConfig::alder_lake().l3_bank);
         assert!(c.sets() > 1000);
         assert_eq!(c.sets_with_storage(), 0);
-        assert!(c.tags.capacity() == 0 && c.lru.capacity() == 0);
+        assert_eq!(c.tags.capacity(), 0);
+    }
+
+    #[test]
+    fn a_full_table_i_l2_holds_one_tag_word_per_way_and_nothing_else() {
+        let mut c = CacheArray::new(row_common::config::MemoryConfig::alder_lake().l2);
+        let (sets, ways) = (c.sets(), c.ways());
+        for k in 0..(sets * ways) as u64 {
+            assert_eq!(c.insert(LineAddr::new(k), |_| true), Insert::Placed);
+        }
+        assert_eq!(c.occupancy(), sets * ways);
+        assert_eq!(c.tags.len(), sets * ways);
+        // Two geometry words and two vectors (set slots, tag words): no
+        // second per-way array.
+        assert_eq!(
+            std::mem::size_of::<CacheArray>(),
+            2 * std::mem::size_of::<usize>()
+                + std::mem::size_of::<Vec<u32>>()
+                + std::mem::size_of::<Vec<u64>>()
+        );
     }
 
     #[test]
@@ -385,33 +413,32 @@ mod tests {
         assert!(!c.touch(LineAddr::new(3)));
         assert!(!c.invalidate(LineAddr::new(3)));
         assert_eq!(c.sets_with_storage(), 0);
-        // The missed touch still advanced the clock.
+        // A missed touch in a set with storage leaves its order alone.
         c.insert(LineAddr::new(3), |_| true);
-        assert_eq!(c.lru[0], 2);
+        c.insert(LineAddr::new(7), |_| true);
+        assert!(!c.touch(LineAddr::new(11)));
+        assert_eq!(order(&c, 3), [8, 4]);
     }
 
     #[test]
     fn restoring_an_empty_snapshot_gives_no_set_storage() {
         let mut c = tiny(2, 4);
         c.insert(LineAddr::new(1), |_| true);
-        let empty = raw_snapshot(&[], 7);
+        let empty = raw_snapshot(&[]);
         c.restore(&mut Reader::new(&empty)).unwrap();
         assert_eq!(c.sets_with_storage(), 0);
         assert_eq!(c.occupancy(), 0);
-        assert_eq!(c.tick, 7);
     }
 
-    /// A hand-written snapshot of `tiny(2, 4)`: `(index, tag word, lru)`
-    /// entries, then the clock.
-    fn raw_snapshot(ways: &[(u64, u64, u64)], tick: u64) -> Vec<u8> {
+    /// A hand-written snapshot of `tiny(2, 4)`: `(set * ways + rank, tag
+    /// word)` entries.
+    fn raw_snapshot(ways: &[(u64, u64)]) -> Vec<u8> {
         let mut w = Writer::new();
         w.put_len(ways.len());
-        for &(i, tag, lru) in ways {
+        for &(i, tag) in ways {
             w.put_u64(i);
             w.put_u64(tag);
-            w.put_u64(lru);
         }
-        w.put_u64(tick);
         w.into_bytes()
     }
 
@@ -425,31 +452,40 @@ mod tests {
     fn snapshot_lists_only_occupied_ways_and_round_trips() {
         let mut c = tiny(2, 4);
         c.insert(LineAddr::new(0), |_| true);
+        c.insert(LineAddr::new(4), |_| true);
         c.insert(LineAddr::new(6), |_| true);
         c.touch(LineAddr::new(0));
         let mut w = Writer::new();
         c.persist(&mut w);
         let bytes = w.into_bytes();
-        // Line 0 sits in way 0 as tag word 1; line 6 in set 2's first way.
-        assert_eq!(bytes, raw_snapshot(&[(0, 1, 3), (4, 7, 2)], 3));
-        let back = restore_from(&bytes).unwrap();
-        assert_eq!(back.occupancy(), 2);
+        // Set 0 holds line 0 (tag word 1, most recent) then line 4; line 6
+        // is set 2's only way.
+        assert_eq!(bytes, raw_snapshot(&[(0, 1), (1, 5), (4, 7)]));
+        let mut back = restore_from(&bytes).unwrap();
+        assert_eq!(back.occupancy(), 3);
         assert!(back.contains(LineAddr::new(0)) && back.contains(LineAddr::new(6)));
+        // The restored order is live: line 4 is still the LRU way.
+        assert_eq!(
+            back.insert(LineAddr::new(8), |_| true),
+            Insert::Evicted(LineAddr::new(4))
+        );
     }
 
     #[test]
     fn malformed_snapshots_are_corrupt_not_panics() {
         for ways in [
-            &[(8, 1, 1)][..],        // index past the last way
-            &[(2, 2, 1), (2, 2, 1)], // repeated index
-            &[(3, 2, 1), (1, 1, 1)], // decreasing index
-            &[(1, 0, 0)],            // an explicitly encoded empty way
-            &[(1, 0, 5)],            // an empty tag with a live LRU stamp
-            &[(0, 2, 1)],            // line 1 stored in set 0
+            &[(8, 1)][..],     // index past the last way
+            &[(2, 2), (2, 2)], // repeated index
+            &[(3, 2), (1, 1)], // decreasing index
+            &[(1, 0)],         // an explicitly encoded empty way
+            &[(0, 2)],         // line 1 stored in set 0
+            &[(1, 1)],         // rank 1 without rank 0
+            &[(0, 1), (3, 2)], // a hole in set 1 after a full set 0
+            &[(0, 1), (1, 1)], // line 0 in both ways of set 0
         ] {
             assert!(
                 matches!(
-                    restore_from(&raw_snapshot(ways, 9)),
+                    restore_from(&raw_snapshot(ways)),
                     Err(PersistError::Corrupt(_))
                 ),
                 "{ways:?}"
@@ -459,7 +495,7 @@ mod tests {
 
     #[test]
     fn truncated_snapshot_is_eof() {
-        let bytes = raw_snapshot(&[(0, 1, 1), (5, 7, 2)], 2);
+        let bytes = raw_snapshot(&[(0, 1), (4, 7), (5, 3)]);
         assert!(restore_from(&bytes).is_ok());
         for cut in 0..bytes.len() {
             assert_eq!(

@@ -264,18 +264,24 @@ impl ModelArray {
 }
 
 impl ModelArray {
-    /// The model's snapshot: its occupied ways as `(set * ways + way,
-    /// (line + 1, lru))` through the sparse encoder, then the clock — the
-    /// bytes `CacheArray` must write for the same contents.
+    /// The model's snapshot: each set's occupied ways sorted by stamp,
+    /// newest first, as `(set * ways + rank, line + 1)` through the sparse
+    /// encoder — the bytes `CacheArray` must write for the same contents.
     fn snapshot(&self) -> Vec<u8> {
         let live = self
             .data
-            .iter()
+            .chunks(self.ways)
             .enumerate()
-            .filter_map(|(i, w)| w.map(|(l, lru)| (i, (l.raw() + 1, lru))));
+            .flat_map(|(set, ways)| {
+                let mut occupied: Vec<(LineAddr, u64)> = ways.iter().flatten().copied().collect();
+                occupied.sort_by_key(|&(_, lru)| std::cmp::Reverse(lru));
+                occupied
+                    .into_iter()
+                    .enumerate()
+                    .map(move |(rank, (l, _))| (set * self.ways + rank, l.raw() + 1))
+            });
         let mut w = Writer::new();
-        encode_sparse(&mut w, &(0, 0), live);
-        w.put_u64(self.tick);
+        encode_sparse(&mut w, &0, live);
         w.into_bytes()
     }
 }
@@ -286,14 +292,14 @@ fn snapshot(c: &CacheArray) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// `CacheArray` (zero-is-empty `line + 1` words, storage given to a set on
-/// its first fill) matches the naive model on seeded random insert / touch
-/// / invalidate traffic with random pinning, including line 0 and line
-/// numbers near the top of the address space. Sets first fill in a
-/// shuffled order, yet at random points the snapshot equals the model's
-/// dense table encoded sparsely; a restore into a fresh array persists the
-/// same bytes and continues identically; and misses never give a set
-/// storage.
+/// `CacheArray` (zero-is-empty `line + 1` words in recency order, storage
+/// given to a set on its first fill) matches the naive stamp-based true-LRU
+/// model on seeded random insert / touch / invalidate traffic with random
+/// pinning, including line 0 and line numbers near the top of the address
+/// space. Sets first fill in a shuffled order, yet at random points the
+/// snapshot equals the model's ways ranked by stamp and encoded sparsely; a
+/// restore into a fresh array persists the same bytes and continues
+/// identically; and misses never give a set storage.
 #[test]
 fn cache_array_matches_reference_model() {
     let mut g = SplitMix64::new(0x3e3_0004);

@@ -44,7 +44,12 @@ pub const MAGIC: &[u8; 8] = b"ROWCKPT\n";
 /// sparse: each lists only its non-empty entries as `(index, entry)` in
 /// ascending index order, so a snapshot grows with the lines and predictor
 /// entries a run touched instead of with the configured capacity.
-pub const FORMAT_VERSION: u32 = 5;
+///
+/// v6: cache tag arrays keep each set's ways in recency order and drop the
+/// per-way LRU stamps and the clock. A snapshot lists each occupied way as
+/// `(set * ways + rank, tag word)`, rank 0 being the most recently used, and
+/// nothing after the entries.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Writes `bytes` to `path` atomically: the data lands in `<path>.tmp` first
 /// and is renamed over `path` only once fully flushed, so a reader (or a

@@ -202,26 +202,31 @@ fn flipped_payload_byte_fails_the_checksum() {
     ));
 }
 
-/// A future-format checkpoint (crafted with a *valid* checksum, so only the
-/// version differs) is refused with `VersionMismatch`, not misparsed.
+/// A checkpoint of another format version (crafted with a *valid*
+/// checksum, so only the version differs) is refused with
+/// `VersionMismatch`, not misparsed: both the previous format (v5, whose
+/// cache arrays carried LRU stamps) and a future one.
 #[test]
 fn wrong_format_version_is_refused() {
     let sys = SystemConfig::small(2);
     let mut m = Machine::new(&sys, streams(2, 40, &ADDRS));
     assert!(m.run_for(300).expect("prefix").is_none());
-    let mut snap = m.checkpoint().expect("checkpoint");
-    snap[8..12].copy_from_slice(&99u32.to_le_bytes());
-    let n = snap.len();
-    let sum = fnv1a(&snap[..n - 8]);
-    snap[n - 8..].copy_from_slice(&sum.to_le_bytes());
-    match restore_err(&sys, &snap) {
-        PersistError::VersionMismatch { found, expected } => {
-            assert_eq!(
-                (found, expected),
-                (99, norush::sim::checkpoint::FORMAT_VERSION)
-            );
+    let current = m.checkpoint().expect("checkpoint");
+    for version in [5u32, 99] {
+        let mut snap = current.clone();
+        snap[8..12].copy_from_slice(&version.to_le_bytes());
+        let n = snap.len();
+        let sum = fnv1a(&snap[..n - 8]);
+        snap[n - 8..].copy_from_slice(&sum.to_le_bytes());
+        match restore_err(&sys, &snap) {
+            PersistError::VersionMismatch { found, expected } => {
+                assert_eq!(
+                    (found, expected),
+                    (version, norush::sim::checkpoint::FORMAT_VERSION)
+                );
+            }
+            other => panic!("expected VersionMismatch for v{version}, got {other:?}"),
         }
-        other => panic!("expected VersionMismatch, got {other:?}"),
     }
 }
 
@@ -407,7 +412,7 @@ fn checkpoint_bytes_are_pinned() {
     };
     assert_eq!(
         checkpoint_fingerprint(&SystemConfig::small(4), &small, Benchmark::Pc, 5_000),
-        (86_811, 1578977513332644178),
+        (79_099, 17896762038722678178),
         "small(4) pc after 5000 cycles"
     );
     let paper = ExperimentConfig {
@@ -417,7 +422,7 @@ fn checkpoint_bytes_are_pinned() {
     };
     assert_eq!(
         checkpoint_fingerprint(&paper.system(), &paper, Benchmark::Canneal, 20_000),
-        (2_920_655, 16118763281516253104),
+        (2_537_247, 15898189674114907559),
         "paper-scale canneal after 20000 cycles"
     );
 }
