@@ -468,11 +468,21 @@ impl<T: Codec + Ord> Codec for BTreeSet<T> {
             v.encode(w);
         }
     }
+    /// # Errors
+    /// [`PersistError::Corrupt`] for an element not above the one before
+    /// it: the encoder writes strictly ascending elements, so a repeated or
+    /// unsorted one is a damaged image, not a set.
     fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let n = r.get_len()?;
         let mut out = BTreeSet::new();
         for _ in 0..n {
-            out.insert(T::decode(r)?);
+            let v = T::decode(r)?;
+            if out.last().is_some_and(|p| &v <= p) {
+                return Err(PersistError::Corrupt(
+                    "set elements not strictly increasing",
+                ));
+            }
+            out.insert(v);
         }
         Ok(out)
     }
@@ -486,11 +496,18 @@ impl<K: Codec + Ord, V: Codec> Codec for BTreeMap<K, V> {
             v.encode(w);
         }
     }
+    /// # Errors
+    /// [`PersistError::Corrupt`] for a key not above the one before it: the
+    /// encoder writes keys strictly ascending, so a repeated or unsorted key
+    /// is a damaged image, not a map.
     fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let n = r.get_len()?;
         let mut out = BTreeMap::new();
         for _ in 0..n {
             let k = K::decode(r)?;
+            if out.last_key_value().is_some_and(|(p, _)| &k <= p) {
+                return Err(PersistError::Corrupt("map keys not strictly increasing"));
+            }
             let v = V::decode(r)?;
             out.insert(k, v);
         }
@@ -509,15 +526,11 @@ impl<K: Codec + Ord + Hash, V: Codec> Codec for HashMap<K, V> {
             v.encode(w);
         }
     }
+    /// # Errors
+    /// [`PersistError::Corrupt`] for a key not above the one before it, as
+    /// for [`BTreeMap`]: the encoder writes keys sorted.
     fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let n = r.get_len()?;
-        let mut out = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let k = K::decode(r)?;
-            let v = V::decode(r)?;
-            out.insert(k, v);
-        }
-        Ok(out)
+        Ok(BTreeMap::<K, V>::decode(r)?.into_iter().collect())
     }
 }
 
@@ -714,6 +727,55 @@ mod tests {
         b.encode(&mut wb);
         assert_eq!(wa.into_bytes(), wb.into_bytes());
         assert_eq!(roundtrip(&a).unwrap(), a);
+    }
+
+    /// Hand-writes a map image from `(key, value)` pairs, in the given order.
+    fn raw_map(pairs: &[(u64, u64)]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_len(pairs.len());
+        for &(k, v) in pairs {
+            w.put_u64(k);
+            w.put_u64(v);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn repeated_and_descending_keys_are_corrupt() {
+        for pairs in [&[(5, 1), (5, 2)][..], &[(7, 1), (3, 2)][..]] {
+            let bytes = raw_map(pairs);
+            assert!(
+                matches!(
+                    BTreeMap::<u64, u64>::decode(&mut Reader::new(&bytes)),
+                    Err(PersistError::Corrupt(_))
+                ),
+                "BTreeMap {pairs:?}"
+            );
+            assert!(
+                matches!(
+                    HashMap::<u64, u64>::decode(&mut Reader::new(&bytes)),
+                    Err(PersistError::Corrupt(_))
+                ),
+                "HashMap {pairs:?}"
+            );
+        }
+        for elems in [[3u64, 3], [4, 2]] {
+            let mut w = Writer::new();
+            w.put_len(2);
+            elems.iter().for_each(|&v| w.put_u64(v));
+            let bytes = w.into_bytes();
+            assert!(
+                matches!(
+                    BTreeSet::<u64>::decode(&mut Reader::new(&bytes)),
+                    Err(PersistError::Corrupt(_))
+                ),
+                "BTreeSet {elems:?}"
+            );
+        }
+        // The strictly ascending form of the same image still decodes.
+        let ok = raw_map(&[(3, 2), (7, 1)]);
+        let m = HashMap::<u64, u64>::decode(&mut Reader::new(&ok)).unwrap();
+        assert_eq!(m, HashMap::from([(3, 2), (7, 1)]));
     }
 
     #[test]

@@ -8,6 +8,26 @@
 //! second core's invalidation only reaches the first core after the
 //! unblock/invalidation round trip.
 //!
+//! # Storage: one table per state
+//!
+//! A bank keeps three maps keyed by line, and which one holds a line *is*
+//! that line's state: `owners` (Exclusive, a 2-byte [`CoreId`] per line),
+//! `sharers` (Shared, a sharer set per line) and `blocked` (a transaction
+//! in flight, its [`BlockInfo`] stored inline). A line in none of them is
+//! Uncached. Nearly every tracked line is Exclusive, so most lines cost a
+//! key, a `CoreId` and their probe slots rather than a slot wide enough for
+//! a sharer set. The request handlers reach the tables only through
+//! [`take`](DirBank::take), [`put`](DirBank::put) and
+//! [`block`](DirBank::block), and [`handle_msg`](DirBank::handle_msg)
+//! consults `blocked` before dispatching, so the GetS/GetX/far handlers
+//! only ever see a stable line.
+//!
+//! The checkpoint image is the one a single line → entry map would give:
+//! the union of the three tables, sorted by line, each line tagged 0
+//! (Shared), 1 (Exclusive) or 2 (Blocked). Restore sends each line to its
+//! table and refuses a line that is repeated or out of order, since it
+//! would otherwise land in two tables at once.
+//!
 //! # Known-unreachable transition-coverage pairs
 //!
 //! `norush fuzz`, `norush litmus`, and `norush explore` all track every
@@ -68,25 +88,20 @@ pub enum DirState {
     Blocked,
 }
 
+/// A tracked line's state outside a transaction (Uncached lines are not
+/// tracked), and the state a Blocked line takes on its `Unblock`.
 #[derive(Clone, Debug)]
-enum Entry {
+enum Stable {
     Shared(BTreeSet<CoreId>),
     Exclusive(CoreId),
-    Blocked(Box<BlockInfo>),
 }
 
+/// An in-flight transaction on a Blocked line.
 #[derive(Clone, Debug)]
 struct BlockInfo {
-    next: Entry2,
+    next: Stable,
     phase: Phase,
     queue: VecDeque<Msg>,
-}
-
-/// Post-unblock state (cannot itself be Blocked).
-#[derive(Clone, Debug)]
-enum Entry2 {
-    Shared(BTreeSet<CoreId>),
-    Exclusive(CoreId),
 }
 
 #[derive(Clone, Debug)]
@@ -160,7 +175,12 @@ pub struct DirBank {
     l3: CacheArray,
     l3_lat: u64,
     mem_lat: u64,
-    entries: FastMap<LineAddr, Entry>,
+    /// Exclusive lines and their owner.
+    owners: FastMap<LineAddr, CoreId>,
+    /// Shared lines and their sharer sets.
+    sharers: FastMap<LineAddr, BTreeSet<CoreId>>,
+    /// Lines with a transaction in flight.
+    blocked: FastMap<LineAddr, BlockInfo>,
     stats: DirStats,
     /// Armed test-only planted bug: serve GetS-on-Shared *without* blocking
     /// (the seed-era race PR 6 fixed). See
@@ -176,7 +196,9 @@ impl DirBank {
             l3: CacheArray::new(l3_cfg),
             l3_lat: l3_cfg.hit_latency,
             mem_lat,
-            entries: FastMap::new(),
+            owners: FastMap::new(),
+            sharers: FastMap::new(),
+            blocked: FastMap::new(),
             stats: DirStats::default(),
             early_unblock_bug: false,
         }
@@ -207,27 +229,31 @@ impl DirBank {
 
     /// The externally visible state of a line (for tests/invariants).
     pub fn state(&self, line: LineAddr) -> DirState {
-        match self.entries.get(&line) {
-            None => DirState::Uncached,
-            Some(Entry::Shared(s)) => DirState::Shared(s.clone()),
-            Some(Entry::Exclusive(o)) => DirState::Exclusive(*o),
-            Some(Entry::Blocked(_)) => DirState::Blocked,
+        if self.blocked.contains_key(&line) {
+            DirState::Blocked
+        } else if let Some(&o) = self.owners.get(&line) {
+            DirState::Exclusive(o)
+        } else if let Some(s) = self.sharers.get(&line) {
+            DirState::Shared(s.clone())
+        } else {
+            DirState::Uncached
         }
     }
 
     /// Every line this bank tracks, with its externally visible state
-    /// (iteration order is insertion-stable, not sorted).
+    /// (order unspecified).
     pub fn lines(&self) -> impl Iterator<Item = (LineAddr, DirState)> + '_ {
-        self.entries.keys().map(|l| (l, self.state(l)))
+        self.owners
+            .keys()
+            .chain(self.sharers.keys())
+            .chain(self.blocked.keys())
+            .map(|l| (l, self.state(l)))
     }
 
     /// Queue depth of `line`'s entry when it is Blocked, `None` otherwise
     /// (the incremental invariant sweep's per-line queue-bound probe).
     pub fn blocked_depth(&self, line: LineAddr) -> Option<usize> {
-        match self.entries.get(&line) {
-            Some(Entry::Blocked(b)) => Some(b.queue.len()),
-            _ => None,
-        }
+        self.blocked.get(&line).map(|b| b.queue.len())
     }
 
     /// Snapshots of every Blocked entry at this bank (diagnostics).
@@ -242,21 +268,17 @@ impl DirBank {
     /// form diagnostics paths call repeatedly.
     pub fn blocked_entries_into(&self, out: &mut Vec<BlockedEntrySnapshot>) {
         let start = out.len();
-        out.extend(self.entries.iter().filter_map(|(line, e)| {
-            let Entry::Blocked(b) = e else { return None };
-            let phase = match &b.phase {
+        out.extend(self.blocked.iter().map(|(line, b)| BlockedEntrySnapshot {
+            line,
+            phase: match &b.phase {
                 Phase::AwaitUnblock => BlockedPhase::AwaitUnblock,
                 Phase::CollectingAcks { req, pending, far } => BlockedPhase::CollectingAcks {
                     req: *req,
                     pending: *pending,
                     far: far.is_some(),
                 },
-            };
-            Some(BlockedEntrySnapshot {
-                line,
-                phase,
-                queued: b.queue.iter().copied().collect(),
-            })
+            },
+            queued: b.queue.iter().copied().collect(),
         }));
         out[start..].sort_by_key(|s| s.line.raw());
     }
@@ -266,41 +288,62 @@ impl DirBank {
     /// the invariant checker catches corrupted directory state. `Blocked`
     /// installs an empty awaiting-unblock entry.
     pub fn corrupt_entry_for_test(&mut self, line: LineAddr, state: DirState) {
+        self.take(line);
+        self.blocked.remove(&line);
         match state {
-            DirState::Uncached => {
-                self.entries.remove(&line);
-            }
-            DirState::Shared(s) => {
-                self.entries.insert(line, Entry::Shared(s));
-            }
-            DirState::Exclusive(o) => {
-                self.entries.insert(line, Entry::Exclusive(o));
-            }
+            DirState::Uncached => {}
+            DirState::Shared(s) => self.put(line, Stable::Shared(s)),
+            DirState::Exclusive(o) => self.put(line, Stable::Exclusive(o)),
             DirState::Blocked => {
-                self.entries.insert(
-                    line,
-                    Entry::Blocked(Box::new(BlockInfo {
-                        next: Entry2::Exclusive(CoreId::new(0)),
-                        phase: Phase::AwaitUnblock,
-                        queue: VecDeque::new(),
-                    })),
-                );
+                self.block(line, Stable::Exclusive(CoreId::new(0)), Phase::AwaitUnblock)
             }
         }
+    }
+
+    /// Removes `line`'s stable state, leaving it Uncached. Never sees a
+    /// Blocked line: [`handle_msg`](Self::handle_msg) queues against those.
+    fn take(&mut self, line: LineAddr) -> Option<Stable> {
+        if let Some(o) = self.owners.remove(&line) {
+            return Some(Stable::Exclusive(o));
+        }
+        self.sharers.remove(&line).map(Stable::Shared)
+    }
+
+    /// Files an untracked line under its stable state.
+    fn put(&mut self, line: LineAddr, state: Stable) {
+        match state {
+            Stable::Exclusive(o) => {
+                self.owners.insert(line, o);
+            }
+            Stable::Shared(s) => {
+                self.sharers.insert(line, s);
+            }
+        }
+    }
+
+    /// Starts a transaction on an untracked line; it becomes `next` on the
+    /// requester's `Unblock` (or Uncached, for a far atomic).
+    fn block(&mut self, line: LineAddr, next: Stable, phase: Phase) {
+        self.blocked.insert(
+            line,
+            BlockInfo {
+                next,
+                phase,
+                queue: VecDeque::new(),
+            },
+        );
     }
 
     /// Records the `(state, event)` transition-coverage pair for the fuzzer.
     /// A no-op unless a coverage sink is installed on this thread.
     fn record_coverage(&self, line: LineAddr, msg: &Msg) {
         use coverage::{DirEvent, DirState as CovState};
-        let state = match self.entries.get(&line) {
+        let state = match self.blocked.get(&line).map(|b| &b.phase) {
+            Some(Phase::AwaitUnblock) => CovState::BlockedAwaitUnblock,
+            Some(Phase::CollectingAcks { .. }) => CovState::BlockedCollectingAcks,
+            None if self.owners.contains_key(&line) => CovState::Exclusive,
+            None if self.sharers.contains_key(&line) => CovState::Shared,
             None => CovState::Uncached,
-            Some(Entry::Shared(_)) => CovState::Shared,
-            Some(Entry::Exclusive(_)) => CovState::Exclusive,
-            Some(Entry::Blocked(b)) => match b.phase {
-                Phase::AwaitUnblock => CovState::BlockedAwaitUnblock,
-                Phase::CollectingAcks { .. } => CovState::BlockedCollectingAcks,
-            },
         };
         let event = match msg {
             Msg::GetS { .. } => DirEvent::GetS,
@@ -326,6 +369,72 @@ impl DirBank {
         }
     }
 
+    /// Sends `line`'s data from the L3 slice to `req`.
+    fn send_data(
+        &mut self,
+        req: CoreId,
+        line: LineAddr,
+        excl: bool,
+        now: Cycle,
+        actions: &mut Vec<CacheAction>,
+    ) {
+        let at = self.data_ready(line, now);
+        actions.push(CacheAction::Send {
+            to: Endpoint::Core(req),
+            msg: Msg::Data {
+                req,
+                line,
+                excl,
+                from_private: false,
+            },
+            at,
+        });
+    }
+
+    /// Performs `req`'s far atomic on `line` at this bank once the L3 slice
+    /// has the data.
+    fn apply_rmw(
+        &mut self,
+        req: CoreId,
+        line: LineAddr,
+        rmw: RmwKind,
+        req_id: u64,
+        now: Cycle,
+        actions: &mut Vec<CacheAction>,
+    ) {
+        let at = self.data_ready(line, now);
+        actions.push(CacheAction::ApplyRmw {
+            req,
+            line,
+            rmw,
+            req_id,
+            at,
+        });
+    }
+
+    /// Sends `msg` to `core` after the directory lookup latency.
+    fn send(&self, core: CoreId, msg: Msg, now: Cycle, actions: &mut Vec<CacheAction>) {
+        actions.push(CacheAction::Send {
+            to: Endpoint::Core(core),
+            msg,
+            at: now + self.l3_lat,
+        });
+    }
+
+    /// Invalidates every core in `cores` on behalf of `line`'s transaction.
+    fn invalidate<'a>(
+        &mut self,
+        cores: impl Iterator<Item = &'a CoreId>,
+        line: LineAddr,
+        now: Cycle,
+        actions: &mut Vec<CacheAction>,
+    ) {
+        for &core in cores {
+            self.stats.invalidations += 1;
+            self.send(core, Msg::Inv { line }, now, actions);
+        }
+    }
+
     /// Handles a protocol message addressed to this bank.
     ///
     /// # Errors
@@ -340,19 +449,13 @@ impl DirBank {
     ) -> Result<(), ProtocolError> {
         let line = msg.line();
         self.record_coverage(line, &msg);
-        // Requests against a blocked entry queue; unblock/acks pass through.
-        if let Some(Entry::Blocked(_)) = self.entries.get(&line) {
-            match msg {
-                Msg::Unblock { .. } => return self.handle_unblock(line, now, actions),
-                Msg::InvAck { from, .. } => return self.handle_inv_ack(from, line, now, actions),
-                other => {
-                    self.stats.queued += 1;
-                    if let Some(Entry::Blocked(b)) = self.entries.get_mut(&line) {
-                        b.queue.push_back(other);
-                    }
-                }
+        // Requests against a blocked line queue; unblock/acks pass through.
+        if let Some(b) = self.blocked.get_mut(&line) {
+            if !matches!(msg, Msg::Unblock { .. } | Msg::InvAck { .. }) {
+                self.stats.queued += 1;
+                b.queue.push_back(msg);
+                return Ok(());
             }
-            return Ok(());
         }
         match msg {
             Msg::GetS { req, line } => self.handle_gets(req, line, now, actions),
@@ -367,14 +470,10 @@ impl DirBank {
                 rmw,
                 req_id,
             } => self.handle_far(req, line, rmw, req_id, now, actions),
-            Msg::Unblock { .. } => {
-                // Unblock for an already-stable entry: ignore (idempotent).
-                Ok(())
-            }
-            Msg::InvAck { .. } => {
-                // Ack raced past a resolved transaction: ignore.
-                Ok(())
-            }
+            // Their handlers ignore them on a stable line (stale or
+            // duplicated).
+            Msg::Unblock { line, .. } => self.handle_unblock(line, now, actions),
+            Msg::InvAck { from, line } => self.handle_inv_ack(from, line, now, actions),
             other => Err(ProtocolError::DirUnexpectedMessage {
                 tile: self.tile,
                 msg: other,
@@ -390,92 +489,37 @@ impl DirBank {
         actions: &mut Vec<CacheAction>,
     ) -> Result<(), ProtocolError> {
         self.stats.gets += 1;
-        // Take the entry out instead of cloning it: every arm installs a
-        // fresh entry, and the sharer sets inside can be arbitrarily large.
-        match self.entries.remove(&line) {
+        // Take the state out instead of cloning it: every arm files a fresh
+        // one, and the sharer sets inside can be arbitrarily large.
+        match self.take(line) {
             None => {
                 // Uncached: grant Exclusive (MESI E) straight away.
-                let at = self.data_ready(line, now);
-                actions.push(CacheAction::Send {
-                    to: Endpoint::Core(req),
-                    msg: Msg::Data {
-                        req,
-                        line,
-                        excl: true,
-                        from_private: false,
-                    },
-                    at,
-                });
-                self.entries.insert(
-                    line,
-                    Entry::Blocked(Box::new(BlockInfo {
-                        next: Entry2::Exclusive(req),
-                        phase: Phase::AwaitUnblock,
-                        queue: VecDeque::new(),
-                    })),
-                );
+                self.send_data(req, line, true, now, actions);
+                self.block(line, Stable::Exclusive(req), Phase::AwaitUnblock);
             }
-            Some(Entry::Shared(mut s)) => {
+            Some(Stable::Shared(mut s)) => {
                 // Serve from the L3 copy, but block until the requester's
                 // Unblock arrives. Every fill sends an Unblock; if this grant
                 // did not block, that Unblock could land while a *later*
                 // transaction holds the entry Blocked and release it
                 // prematurely (dropping a CollectingAcks phase or replaying
                 // the queue before the new owner has data).
-                let at = self.data_ready(line, now);
-                actions.push(CacheAction::Send {
-                    to: Endpoint::Core(req),
-                    msg: Msg::Data {
-                        req,
-                        line,
-                        excl: false,
-                        from_private: false,
-                    },
-                    at,
-                });
+                self.send_data(req, line, false, now, actions);
                 s.insert(req);
                 if self.early_unblock_bug {
                     // Planted bug: the seed-era non-blocking grant, exactly
                     // the race described above. The requester's unmatched
                     // Unblock is now free to release a later transaction.
-                    self.entries.insert(line, Entry::Shared(s));
+                    self.put(line, Stable::Shared(s));
                 } else {
-                    self.entries.insert(
-                        line,
-                        Entry::Blocked(Box::new(BlockInfo {
-                            next: Entry2::Shared(s),
-                            phase: Phase::AwaitUnblock,
-                            queue: VecDeque::new(),
-                        })),
-                    );
+                    self.block(line, Stable::Shared(s), Phase::AwaitUnblock);
                 }
             }
-            Some(Entry::Exclusive(owner)) => {
+            Some(Stable::Exclusive(owner)) => {
                 self.stats.forwards += 1;
-                actions.push(CacheAction::Send {
-                    to: Endpoint::Core(owner),
-                    msg: Msg::FwdGetS { req, line },
-                    at: now + self.l3_lat,
-                });
-                let mut sharers = BTreeSet::new();
-                sharers.insert(owner);
-                sharers.insert(req);
-                self.entries.insert(
-                    line,
-                    Entry::Blocked(Box::new(BlockInfo {
-                        next: Entry2::Shared(sharers),
-                        phase: Phase::AwaitUnblock,
-                        queue: VecDeque::new(),
-                    })),
-                );
-            }
-            Some(e @ Entry::Blocked(_)) => {
-                self.entries.insert(line, e);
-                debug_assert!(false, "blocked entries are queued by handle_msg");
-                return Err(ProtocolError::BlockedEntryReentered {
-                    tile: self.tile,
-                    msg: Msg::GetS { req, line },
-                });
+                self.send(owner, Msg::FwdGetS { req, line }, now, actions);
+                let sharers = BTreeSet::from([owner, req]);
+                self.block(line, Stable::Shared(sharers), Phase::AwaitUnblock);
             }
         }
         Ok(())
@@ -489,100 +533,28 @@ impl DirBank {
         actions: &mut Vec<CacheAction>,
     ) -> Result<(), ProtocolError> {
         self.stats.getx += 1;
-        match self.entries.remove(&line) {
-            None => {
-                let at = self.data_ready(line, now);
-                actions.push(CacheAction::Send {
-                    to: Endpoint::Core(req),
-                    msg: Msg::Data {
-                        req,
-                        line,
-                        excl: true,
-                        from_private: false,
-                    },
-                    at,
-                });
-                self.entries.insert(
-                    line,
-                    Entry::Blocked(Box::new(BlockInfo {
-                        next: Entry2::Exclusive(req),
-                        phase: Phase::AwaitUnblock,
-                        queue: VecDeque::new(),
-                    })),
-                );
+        let phase = match self.take(line) {
+            Some(Stable::Exclusive(owner)) => {
+                self.stats.forwards += 1;
+                self.send(owner, Msg::FwdGetX { req, line }, now, actions);
+                Phase::AwaitUnblock
             }
-            Some(Entry::Shared(s)) => {
-                // No scratch Vec: count, then walk the set again for the
-                // invalidation sends.
-                let others = s.iter().filter(|c| **c != req).count();
-                if others == 0 {
-                    let at = self.data_ready(line, now);
-                    actions.push(CacheAction::Send {
-                        to: Endpoint::Core(req),
-                        msg: Msg::Data {
-                            req,
-                            line,
-                            excl: true,
-                            from_private: false,
-                        },
-                        at,
-                    });
-                    self.entries.insert(
-                        line,
-                        Entry::Blocked(Box::new(BlockInfo {
-                            next: Entry2::Exclusive(req),
-                            phase: Phase::AwaitUnblock,
-                            queue: VecDeque::new(),
-                        })),
-                    );
-                } else {
-                    for other in s.iter().filter(|c| **c != req) {
-                        self.stats.invalidations += 1;
-                        actions.push(CacheAction::Send {
-                            to: Endpoint::Core(*other),
-                            msg: Msg::Inv { line },
-                            at: now + self.l3_lat,
-                        });
-                    }
-                    self.entries.insert(
-                        line,
-                        Entry::Blocked(Box::new(BlockInfo {
-                            next: Entry2::Exclusive(req),
-                            phase: Phase::CollectingAcks {
-                                req,
-                                pending: others,
-                                far: None,
-                            },
-                            queue: VecDeque::new(),
-                        })),
-                    );
+            Some(Stable::Shared(s)) if s.iter().any(|c| *c != req) => {
+                let others = || s.iter().filter(|c| **c != req);
+                self.invalidate(others(), line, now, actions);
+                Phase::CollectingAcks {
+                    req,
+                    pending: others().count(),
+                    far: None,
                 }
             }
-            Some(Entry::Exclusive(owner)) => {
-                self.stats.forwards += 1;
-                actions.push(CacheAction::Send {
-                    to: Endpoint::Core(owner),
-                    msg: Msg::FwdGetX { req, line },
-                    at: now + self.l3_lat,
-                });
-                self.entries.insert(
-                    line,
-                    Entry::Blocked(Box::new(BlockInfo {
-                        next: Entry2::Exclusive(req),
-                        phase: Phase::AwaitUnblock,
-                        queue: VecDeque::new(),
-                    })),
-                );
+            // Uncached, or the requester is the only sharer.
+            _ => {
+                self.send_data(req, line, true, now, actions);
+                Phase::AwaitUnblock
             }
-            Some(e @ Entry::Blocked(_)) => {
-                self.entries.insert(line, e);
-                debug_assert!(false, "blocked entries are queued by handle_msg");
-                return Err(ProtocolError::BlockedEntryReentered {
-                    tile: self.tile,
-                    msg: Msg::GetX { req, line },
-                });
-            }
-        }
+        };
+        self.block(line, Stable::Exclusive(req), phase);
         Ok(())
     }
 
@@ -593,22 +565,13 @@ impl DirBank {
         now: Cycle,
         actions: &mut Vec<CacheAction>,
     ) {
-        let is_owner = matches!(self.entries.get(&line), Some(Entry::Exclusive(o)) if *o == from);
-        if is_owner {
+        if self.owners.get(&line) == Some(&from) {
             self.stats.writebacks += 1;
-            self.entries.remove(&line);
+            self.owners.remove(&line);
             let _ = self.l3.insert(line, |_| true);
-            actions.push(CacheAction::Send {
-                to: Endpoint::Core(from),
-                msg: Msg::WbAck { line },
-                at: now + self.l3_lat,
-            });
+            self.send(from, Msg::WbAck { line }, now, actions);
         } else {
-            actions.push(CacheAction::Send {
-                to: Endpoint::Core(from),
-                msg: Msg::WbStale { line },
-                at: now + self.l3_lat,
-            });
+            self.send(from, Msg::WbStale { line }, now, actions);
         }
     }
 
@@ -619,8 +582,7 @@ impl DirBank {
         now: Cycle,
         actions: &mut Vec<CacheAction>,
     ) -> Result<(), ProtocolError> {
-        let tile = self.tile;
-        let Some(Entry::Blocked(b)) = self.entries.get_mut(&line) else {
+        let Some(b) = self.blocked.get_mut(&line) else {
             return Ok(()); // stale ack
         };
         let Phase::CollectingAcks { req, pending, far } = &mut b.phase else {
@@ -629,44 +591,24 @@ impl DirBank {
         // An ack with nothing pending means the transaction's sharer
         // bookkeeping is corrupt; surface it instead of underflowing.
         if *pending == 0 {
+            let tile = self.tile;
             return Err(ProtocolError::InvAckUnderflow { tile, line, from });
         }
         *pending -= 1;
         if *pending > 0 {
             return Ok(());
         }
-        let req = *req;
-        let far = *far;
-        match far {
-            None => {
-                b.phase = Phase::AwaitUnblock;
-                let at = self.data_ready(line, now);
-                actions.push(CacheAction::Send {
-                    to: Endpoint::Core(req),
-                    msg: Msg::Data {
-                        req,
-                        line,
-                        excl: true,
-                        from_private: false,
-                    },
-                    at,
-                });
-            }
-            Some((rmw, req_id)) => {
-                // All private copies are gone: perform the RMW at home and
-                // release the entry without an unblock round trip.
-                let at = self.data_ready(line, now);
-                actions.push(CacheAction::ApplyRmw {
-                    req,
-                    line,
-                    rmw,
-                    req_id,
-                    at,
-                });
-                self.release_blocked(line, now, actions)?;
-            }
-        }
-        Ok(())
+        let (req, far) = (*req, *far);
+        let Some((rmw, req_id)) = far else {
+            b.phase = Phase::AwaitUnblock;
+            self.send_data(req, line, true, now, actions);
+            return Ok(());
+        };
+        // All private copies are gone: perform the RMW at home and release
+        // the line (back to Uncached) without an unblock round trip.
+        self.apply_rmw(req, line, rmw, req_id, now, actions);
+        let queue = self.blocked.remove(&line).map(|b| b.queue);
+        self.replay(line, queue.unwrap_or_default(), now, actions)
     }
 
     /// Handles a far atomic request at the home (Section VII's alternative
@@ -681,94 +623,26 @@ impl DirBank {
         actions: &mut Vec<CacheAction>,
     ) -> Result<(), ProtocolError> {
         self.stats.far_atomics += 1;
-        match self.entries.remove(&line) {
+        let pending = match self.take(line) {
             None => {
-                let at = self.data_ready(line, now);
-                actions.push(CacheAction::ApplyRmw {
-                    req,
-                    line,
-                    rmw,
-                    req_id,
-                    at,
-                });
+                self.apply_rmw(req, line, rmw, req_id, now, actions);
+                return Ok(());
             }
-            Some(Entry::Shared(s)) => {
-                for other in &s {
-                    self.stats.invalidations += 1;
-                    actions.push(CacheAction::Send {
-                        to: Endpoint::Core(*other),
-                        msg: Msg::Inv { line },
-                        at: now + self.l3_lat,
-                    });
-                }
-                self.entries.insert(
-                    line,
-                    Entry::Blocked(Box::new(BlockInfo {
-                        next: Entry2::Shared(BTreeSet::new()),
-                        phase: Phase::CollectingAcks {
-                            req,
-                            pending: s.len(),
-                            far: Some((rmw, req_id)),
-                        },
-                        queue: VecDeque::new(),
-                    })),
-                );
+            Some(Stable::Shared(s)) => {
+                self.invalidate(s.iter(), line, now, actions);
+                s.len()
             }
-            Some(Entry::Exclusive(owner)) => {
-                self.stats.invalidations += 1;
-                actions.push(CacheAction::Send {
-                    to: Endpoint::Core(owner),
-                    msg: Msg::Inv { line },
-                    at: now + self.l3_lat,
-                });
-                self.entries.insert(
-                    line,
-                    Entry::Blocked(Box::new(BlockInfo {
-                        next: Entry2::Shared(BTreeSet::new()),
-                        phase: Phase::CollectingAcks {
-                            req,
-                            pending: 1,
-                            far: Some((rmw, req_id)),
-                        },
-                        queue: VecDeque::new(),
-                    })),
-                );
+            Some(Stable::Exclusive(owner)) => {
+                self.invalidate([owner].iter(), line, now, actions);
+                1
             }
-            Some(e @ Entry::Blocked(_)) => {
-                self.entries.insert(line, e);
-                debug_assert!(false, "blocked entries are queued by handle_msg");
-                return Err(ProtocolError::BlockedEntryReentered {
-                    tile: self.tile,
-                    msg: Msg::AtomicFar {
-                        req,
-                        line,
-                        rmw,
-                        req_id,
-                    },
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Removes a Blocked entry (the line returns home / Uncached) and
-    /// replays its queued requests in arrival order.
-    fn release_blocked(
-        &mut self,
-        line: LineAddr,
-        now: Cycle,
-        actions: &mut Vec<CacheAction>,
-    ) -> Result<(), ProtocolError> {
-        let Some(Entry::Blocked(b)) = self.entries.remove(&line) else {
-            return Ok(());
         };
-        for msg in b.queue {
-            if let Some(Entry::Blocked(nb)) = self.entries.get_mut(&line) {
-                nb.queue.push_back(msg);
-            } else {
-                self.handle_msg(msg, now + 1, actions)?;
-            }
-        }
+        let phase = Phase::CollectingAcks {
+            req,
+            pending,
+            far: Some((rmw, req_id)),
+        };
+        self.block(line, Stable::Shared(BTreeSet::new()), phase);
         Ok(())
     }
 
@@ -778,24 +652,25 @@ impl DirBank {
         now: Cycle,
         actions: &mut Vec<CacheAction>,
     ) -> Result<(), ProtocolError> {
-        let Some(Entry::Blocked(b)) = self.entries.remove(&line).map(|e| match e {
-            Entry::Blocked(b) => Entry::Blocked(b),
-            other => other,
-        }) else {
+        let Some(b) = self.blocked.remove(&line) else {
             return Ok(());
         };
-        let BlockInfo { next, queue, .. } = *b;
-        self.entries.insert(
-            line,
-            match next {
-                Entry2::Shared(s) => Entry::Shared(s),
-                Entry2::Exclusive(o) => Entry::Exclusive(o),
-            },
-        );
-        // Replay queued requests in arrival order. Each replay may re-block
-        // the entry, in which case the remainder re-queues behind it.
+        self.put(line, b.next);
+        self.replay(line, b.queue, now, actions)
+    }
+
+    /// Replays requests queued behind a finished transaction, in arrival
+    /// order. Each replay may re-block the line, in which case the rest
+    /// re-queue behind the new transaction.
+    fn replay(
+        &mut self,
+        line: LineAddr,
+        queue: VecDeque<Msg>,
+        now: Cycle,
+        actions: &mut Vec<CacheAction>,
+    ) -> Result<(), ProtocolError> {
         for msg in queue {
-            if let Some(Entry::Blocked(b)) = self.entries.get_mut(&line) {
+            if let Some(b) = self.blocked.get_mut(&line) {
                 b.queue.push_back(msg);
             } else {
                 self.handle_msg(msg, now + 1, actions)?;
@@ -805,30 +680,37 @@ impl DirBank {
     }
 }
 
-impl Codec for Entry2 {
+impl Stable {
+    /// Decodes the payload that follows entry tag `tag` (0 Shared,
+    /// 1 Exclusive).
+    fn decode_tagged(tag: u8, r: &mut Reader<'_>) -> Result<Self, PersistError> {
+        match tag {
+            0 => Ok(Stable::Shared(BTreeSet::decode(r)?)),
+            1 => Ok(Stable::Exclusive(CoreId::decode(r)?)),
+            tag => Err(PersistError::BadTag {
+                what: "directory entry",
+                tag,
+            }),
+        }
+    }
+}
+
+impl Codec for Stable {
     fn encode(&self, w: &mut Writer) {
         match self {
-            Entry2::Shared(s) => {
+            Stable::Shared(s) => {
                 w.put_u8(0);
                 s.encode(w);
             }
-            Entry2::Exclusive(c) => {
+            Stable::Exclusive(c) => {
                 w.put_u8(1);
                 c.encode(w);
             }
         }
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(match r.get_u8()? {
-            0 => Entry2::Shared(BTreeSet::decode(r)?),
-            1 => Entry2::Exclusive(CoreId::decode(r)?),
-            tag => {
-                return Err(PersistError::BadTag {
-                    what: "Entry2",
-                    tag,
-                })
-            }
-        })
+        let tag = r.get_u8()?;
+        Stable::decode_tagged(tag, r)
     }
 }
 
@@ -868,39 +750,6 @@ impl Codec for Phase {
     }
 }
 
-impl Codec for Entry {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Entry::Shared(s) => {
-                w.put_u8(0);
-                s.encode(w);
-            }
-            Entry::Exclusive(c) => {
-                w.put_u8(1);
-                c.encode(w);
-            }
-            Entry::Blocked(b) => {
-                w.put_u8(2);
-                b.next.encode(w);
-                b.phase.encode(w);
-                b.queue.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(match r.get_u8()? {
-            0 => Entry::Shared(BTreeSet::decode(r)?),
-            1 => Entry::Exclusive(CoreId::decode(r)?),
-            2 => Entry::Blocked(Box::new(BlockInfo {
-                next: Entry2::decode(r)?,
-                phase: Phase::decode(r)?,
-                queue: VecDeque::decode(r)?,
-            })),
-            tag => return Err(PersistError::BadTag { what: "Entry", tag }),
-        })
-    }
-}
-
 impl Codec for DirStats {
     fn encode(&self, w: &mut Writer) {
         for v in [
@@ -932,16 +781,67 @@ impl Codec for DirStats {
 
 impl Persist for DirBank {
     // Tile index and latencies are config-derived; the L3 tag array, the
-    // directory entries (including Blocked transactions and their queued
-    // requesters), and the counters are mutable state.
+    // directory tables (including Blocked transactions and their queued
+    // requesters), and the counters are mutable state. The tables are
+    // written as one line-sorted `(line, tag, payload)` list — the image of
+    // a single line → entry map — so the bytes do not depend on the layout.
     fn persist(&self, w: &mut Writer) {
         self.l3.persist(w);
-        self.entries.encode(w);
+        let mut lines: Vec<LineAddr> = (self.owners.keys())
+            .chain(self.sharers.keys())
+            .chain(self.blocked.keys())
+            .collect();
+        lines.sort_unstable();
+        w.put_len(lines.len());
+        for line in lines {
+            line.encode(w);
+            if let Some(&o) = self.owners.get(&line) {
+                w.put_u8(1);
+                o.encode(w);
+            } else if let Some(s) = self.sharers.get(&line) {
+                w.put_u8(0);
+                s.encode(w);
+            } else {
+                let b = &self.blocked[&line];
+                w.put_u8(2);
+                b.next.encode(w);
+                b.phase.encode(w);
+                b.queue.encode(w);
+            }
+        }
         self.stats.encode(w);
     }
+    /// # Errors
+    /// [`PersistError::Corrupt`] for a line not above the one before it (a
+    /// repeated line would be filed in two tables) and
+    /// [`PersistError::BadTag`] for an unknown entry tag.
     fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), PersistError> {
         self.l3.restore(r)?;
-        self.entries = FastMap::decode(r)?;
+        self.owners = FastMap::new();
+        self.sharers = FastMap::new();
+        self.blocked = FastMap::new();
+        let mut prev: Option<LineAddr> = None;
+        for _ in 0..r.get_len()? {
+            let line = LineAddr::decode(r)?;
+            if prev.is_some_and(|p| line <= p) {
+                return Err(PersistError::Corrupt(
+                    "directory lines not strictly increasing",
+                ));
+            }
+            prev = Some(line);
+            match r.get_u8()? {
+                2 => {
+                    let next = Stable::decode(r)?;
+                    let phase = Phase::decode(r)?;
+                    let queue = VecDeque::decode(r)?;
+                    self.blocked.insert(line, BlockInfo { next, phase, queue });
+                }
+                tag => {
+                    let state = Stable::decode_tagged(tag, r)?;
+                    self.put(line, state);
+                }
+            }
+        }
         self.stats = DirStats::decode(r)?;
         Ok(())
     }

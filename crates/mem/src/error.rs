@@ -21,14 +21,6 @@ use crate::private::PrivState;
 /// points directly at the offending transition.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ProtocolError {
-    /// A request handler that must only see stable entries found the entry
-    /// Blocked (the caller is responsible for queueing against Blocked).
-    BlockedEntryReentered {
-        /// The directory bank.
-        tile: usize,
-        /// The offending message.
-        msg: Msg,
-    },
     /// The directory received a message kind it has no transition for.
     DirUnexpectedMessage {
         /// The directory bank.
@@ -139,10 +131,6 @@ pub enum ProtocolError {
 impl std::fmt::Display for ProtocolError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ProtocolError::BlockedEntryReentered { tile, msg } => write!(
-                f,
-                "dir bank {tile}: request handler re-entered a Blocked entry with {msg:?}"
-            ),
             ProtocolError::DirUnexpectedMessage { tile, msg } => {
                 write!(f, "dir bank {tile}: unexpected message {msg:?}")
             }

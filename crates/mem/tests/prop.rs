@@ -9,13 +9,21 @@
 //! original `proptest` dependency is unavailable offline); assertions are
 //! unchanged.
 
-use row_common::config::{CacheConfig, SystemConfig};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
+use row_common::config::{CacheConfig, MemoryConfig, SystemConfig};
 use row_common::ids::{Addr, CoreId, LineAddr};
 use row_common::persist::{encode_sparse, Persist, Reader, Writer};
+use row_common::rmw::RmwKind;
 use row_common::rng::SplitMix64;
 use row_common::Cycle;
 use row_mem::array::{CacheArray, Insert};
-use row_mem::{AccessKind, DirState, MemEvent, MemorySystem, PrivState, ReqMeta};
+use row_mem::directory::DirBank;
+use row_mem::private::CacheAction;
+use row_mem::{
+    AccessKind, BlockedEntrySnapshot, BlockedPhase, DirState, Endpoint, MemEvent, MemorySystem,
+    Msg, PrivState, ProtocolError, ReqMeta,
+};
 
 /// N cores perform random FAAs on a small line set, holding each lock a
 /// random number of cycles. The final sum is exact and the directory /
@@ -392,6 +400,364 @@ fn cache_array_matches_reference_model() {
             assert_eq!(c.contains(line), m.contains(line));
         }
     }
+}
+
+/// A stable line state in [`RefDir`].
+#[derive(Clone, Debug)]
+enum RefStable {
+    Shared(BTreeSet<CoreId>),
+    Exclusive(CoreId),
+}
+
+/// `(requester, acks pending, far op)` of a transaction whose
+/// invalidations are out.
+type Acks = (CoreId, usize, Option<(RmwKind, u64)>);
+
+/// A line's entry in [`RefDir`]: stable, or in a transaction that becomes
+/// `next` on its `Unblock`.
+#[derive(Clone, Debug)]
+enum RefEntry {
+    Stable(RefStable),
+    Blocked {
+        next: RefStable,
+        acks: Option<Acks>,
+        queue: VecDeque<Msg>,
+    },
+}
+
+/// Reference model of one directory bank: the unblock-based MESI protocol
+/// written as a single line → entry map and one match over (message,
+/// state), with the same L3 slice in front of memory.
+struct RefDir {
+    l3: CacheArray,
+    l3_lat: u64,
+    mem_lat: u64,
+    map: BTreeMap<LineAddr, RefEntry>,
+}
+
+impl RefDir {
+    fn new(cfg: &MemoryConfig) -> Self {
+        RefDir {
+            l3: CacheArray::new(cfg.l3_bank),
+            l3_lat: cfg.l3_bank.hit_latency,
+            mem_lat: cfg.mem_latency,
+            map: BTreeMap::new(),
+        }
+    }
+
+    fn data_at(&mut self, line: LineAddr, now: Cycle) -> Cycle {
+        if self.l3.touch(line) {
+            now + self.l3_lat
+        } else {
+            let _ = self.l3.insert(line, |_| true);
+            now + self.l3_lat + self.mem_lat
+        }
+    }
+
+    fn state(&self, line: LineAddr) -> DirState {
+        match self.map.get(&line) {
+            None => DirState::Uncached,
+            Some(RefEntry::Stable(RefStable::Shared(s))) => DirState::Shared(s.clone()),
+            Some(RefEntry::Stable(RefStable::Exclusive(o))) => DirState::Exclusive(*o),
+            Some(RefEntry::Blocked { .. }) => DirState::Blocked,
+        }
+    }
+
+    fn blocked_entries(&self) -> Vec<BlockedEntrySnapshot> {
+        let blocked = self.map.iter().filter_map(|(&line, e)| match e {
+            RefEntry::Stable(_) => None,
+            RefEntry::Blocked { acks, queue, .. } => Some(BlockedEntrySnapshot {
+                line,
+                phase: match *acks {
+                    None => BlockedPhase::AwaitUnblock,
+                    Some((req, pending, far)) => BlockedPhase::CollectingAcks {
+                        req,
+                        pending,
+                        far: far.is_some(),
+                    },
+                },
+                queued: queue.iter().copied().collect(),
+            }),
+        });
+        blocked.collect()
+    }
+
+    fn handle(
+        &mut self,
+        msg: Msg,
+        now: Cycle,
+        out: &mut Vec<CacheAction>,
+    ) -> Result<(), ProtocolError> {
+        let line = msg.line();
+        let lookup = now + self.l3_lat;
+        let send = |to: CoreId, msg: Msg| CacheAction::Send {
+            to: Endpoint::Core(to),
+            msg,
+            at: lookup,
+        };
+        let data = |to: CoreId, excl: bool, at: Cycle| CacheAction::Send {
+            to: Endpoint::Core(to),
+            msg: Msg::Data {
+                req: to,
+                line,
+                excl,
+                from_private: false,
+            },
+            at,
+        };
+        let blocked = |next: RefStable, acks| {
+            Some(RefEntry::Blocked {
+                next,
+                acks,
+                queue: VecDeque::new(),
+            })
+        };
+        let entry = self.map.remove(&line);
+        let stable = match entry {
+            Some(RefEntry::Blocked {
+                next,
+                acks,
+                mut queue,
+            }) => {
+                return match (msg, acks) {
+                    (Msg::Unblock { .. }, _) => {
+                        self.map.insert(line, RefEntry::Stable(next));
+                        self.replay(line, queue, now, out)
+                    }
+                    (Msg::InvAck { from, .. }, Some((_, 0, _))) => {
+                        self.map
+                            .insert(line, RefEntry::Blocked { next, acks, queue });
+                        Err(ProtocolError::InvAckUnderflow {
+                            tile: 0,
+                            line,
+                            from,
+                        })
+                    }
+                    (Msg::InvAck { .. }, Some((req, 1, None))) => {
+                        out.push(data(req, true, self.data_at(line, now)));
+                        self.map.insert(
+                            line,
+                            RefEntry::Blocked {
+                                next,
+                                acks: None,
+                                queue,
+                            },
+                        );
+                        Ok(())
+                    }
+                    (Msg::InvAck { .. }, Some((req, 1, Some((rmw, req_id))))) => {
+                        let at = self.data_at(line, now);
+                        out.push(CacheAction::ApplyRmw {
+                            req,
+                            line,
+                            rmw,
+                            req_id,
+                            at,
+                        });
+                        self.replay(line, queue, now, out)
+                    }
+                    (Msg::InvAck { .. }, Some((req, n, far))) => {
+                        let acks = Some((req, n - 1, far));
+                        self.map
+                            .insert(line, RefEntry::Blocked { next, acks, queue });
+                        Ok(())
+                    }
+                    (Msg::InvAck { .. }, None) => {
+                        self.map
+                            .insert(line, RefEntry::Blocked { next, acks, queue });
+                        Ok(())
+                    }
+                    (other, acks) => {
+                        queue.push_back(other);
+                        self.map
+                            .insert(line, RefEntry::Blocked { next, acks, queue });
+                        Ok(())
+                    }
+                };
+            }
+            Some(RefEntry::Stable(s)) => Some(s),
+            None => None,
+        };
+        let after = match (msg, stable) {
+            (Msg::GetS { req, .. }, None) | (Msg::GetX { req, .. }, None) => {
+                out.push(data(req, true, self.data_at(line, now)));
+                blocked(RefStable::Exclusive(req), None)
+            }
+            (Msg::GetS { req, .. }, Some(RefStable::Shared(mut s))) => {
+                out.push(data(req, false, self.data_at(line, now)));
+                s.insert(req);
+                blocked(RefStable::Shared(s), None)
+            }
+            (Msg::GetS { req, .. }, Some(RefStable::Exclusive(o))) => {
+                out.push(send(o, Msg::FwdGetS { req, line }));
+                blocked(RefStable::Shared(BTreeSet::from([o, req])), None)
+            }
+            (Msg::GetX { req, .. }, Some(RefStable::Shared(s))) => {
+                let others: Vec<CoreId> = s.into_iter().filter(|&c| c != req).collect();
+                if others.is_empty() {
+                    out.push(data(req, true, self.data_at(line, now)));
+                    blocked(RefStable::Exclusive(req), None)
+                } else {
+                    out.extend(others.iter().map(|&c| send(c, Msg::Inv { line })));
+                    blocked(RefStable::Exclusive(req), Some((req, others.len(), None)))
+                }
+            }
+            (Msg::GetX { req, .. }, Some(RefStable::Exclusive(o))) => {
+                out.push(send(o, Msg::FwdGetX { req, line }));
+                blocked(RefStable::Exclusive(req), None)
+            }
+            (Msg::PutM { from, .. }, Some(RefStable::Exclusive(o))) if o == from => {
+                let _ = self.l3.insert(line, |_| true);
+                out.push(send(from, Msg::WbAck { line }));
+                None
+            }
+            (Msg::PutM { from, .. }, s) => {
+                out.push(send(from, Msg::WbStale { line }));
+                s.map(RefEntry::Stable)
+            }
+            (
+                Msg::AtomicFar {
+                    req, rmw, req_id, ..
+                },
+                None,
+            ) => {
+                let at = self.data_at(line, now);
+                out.push(CacheAction::ApplyRmw {
+                    req,
+                    line,
+                    rmw,
+                    req_id,
+                    at,
+                });
+                None
+            }
+            (
+                Msg::AtomicFar {
+                    req, rmw, req_id, ..
+                },
+                Some(s),
+            ) => {
+                let holders: Vec<CoreId> = match s {
+                    RefStable::Shared(s) => s.into_iter().collect(),
+                    RefStable::Exclusive(o) => vec![o],
+                };
+                out.extend(holders.iter().map(|&c| send(c, Msg::Inv { line })));
+                let acks = Some((req, holders.len(), Some((rmw, req_id))));
+                blocked(RefStable::Shared(BTreeSet::new()), acks)
+            }
+            // Stray unblocks and acks leave a stable line alone.
+            (Msg::Unblock { .. } | Msg::InvAck { .. }, s) => s.map(RefEntry::Stable),
+            (other, _) => unreachable!("not generated: {other:?}"),
+        };
+        if let Some(e) = after {
+            self.map.insert(line, e);
+        }
+        Ok(())
+    }
+
+    /// Replays a finished transaction's queue one cycle later; whatever
+    /// arrives while the line is blocked again joins the new queue.
+    fn replay(
+        &mut self,
+        line: LineAddr,
+        queue: VecDeque<Msg>,
+        now: Cycle,
+        out: &mut Vec<CacheAction>,
+    ) -> Result<(), ProtocolError> {
+        for msg in queue {
+            match self.map.get_mut(&line) {
+                Some(RefEntry::Blocked { queue, .. }) => queue.push_back(msg),
+                _ => self.handle(msg, now + 1, out)?,
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Seeded random GetS / GetX / PutM / AtomicFar / Unblock / InvAck streams
+/// from random cores over a few lines drive a [`DirBank`], the reference
+/// model [`RefDir`], and a second `DirBank` that is checkpointed and
+/// restored into a fresh bank at random steps. After every message the
+/// three emit the same actions and results, and agree on every line's
+/// `state` and on `blocked_entries()`; the two banks also agree on their
+/// counters and checkpoint bytes.
+#[test]
+fn directory_bank_matches_reference_model() {
+    let cfg = MemoryConfig::alder_lake();
+    let fresh = || DirBank::new(0, cfg.l3_bank, cfg.mem_latency);
+    let image = |d: &DirBank| {
+        let mut w = Writer::new();
+        d.persist(&mut w);
+        w.into_bytes()
+    };
+    let mut g = SplitMix64::new(0x3e3_0005);
+    let (mut restores, mut queued_restores, mut far_blocks) = (0, 0, 0);
+    for _case in 0..64 {
+        let cores = 2 + g.below(4) as u16;
+        let lines: Vec<LineAddr> = (0..1 + g.below(4))
+            .map(|k| LineAddr::new(4 + 4096 * k))
+            .collect();
+        let (mut a, mut b, mut m) = (fresh(), fresh(), RefDir::new(&cfg));
+        let mut now = 0;
+        for step in 0..300 {
+            let line = lines[g.below(lines.len() as u64) as usize];
+            let core = CoreId::new(g.below(cores as u64) as u16);
+            let msg = match g.below(100) {
+                0..=19 => Msg::GetS { req: core, line },
+                20..=39 => Msg::GetX { req: core, line },
+                40..=47 => Msg::PutM { from: core, line },
+                48..=57 => Msg::AtomicFar {
+                    req: core,
+                    line,
+                    rmw: RmwKind::Faa(step),
+                    req_id: step,
+                },
+                58..=81 => Msg::Unblock { from: core, line },
+                _ => Msg::InvAck { from: core, line },
+            };
+            now += g.below(20);
+            let (mut out_a, mut out_b, mut out_m) = (Vec::new(), Vec::new(), Vec::new());
+            let res_a = a.handle_msg(msg, Cycle::new(now), &mut out_a);
+            let res_b = b.handle_msg(msg, Cycle::new(now), &mut out_b);
+            let res_m = m.handle(msg, Cycle::new(now), &mut out_m);
+            let at = format!("step {step}: {msg:?}");
+            assert_eq!(res_a, res_m, "result at {at}");
+            assert_eq!(out_a, out_m, "actions at {at}");
+            assert_eq!(res_b, res_a, "restored result at {at}");
+            assert_eq!(out_b, out_a, "restored actions at {at}");
+            for &l in &lines {
+                assert_eq!(a.state(l), m.state(l), "state of {l} at {at}");
+                assert_eq!(b.state(l), a.state(l), "restored state of {l} at {at}");
+            }
+            let blocked = a.blocked_entries();
+            assert_eq!(blocked, m.blocked_entries(), "blocked entries at {at}");
+            assert_eq!(
+                b.blocked_entries(),
+                blocked,
+                "restored blocked entries at {at}"
+            );
+            assert_eq!(b.stats(), a.stats(), "restored stats at {at}");
+            far_blocks += blocked
+                .iter()
+                .filter(|s| matches!(s.phase, BlockedPhase::CollectingAcks { far: true, .. }))
+                .count();
+            if g.below(8) == 0 {
+                let bytes = image(&b);
+                assert_eq!(bytes, image(&a), "checkpoint bytes at {at}");
+                b = fresh();
+                b.restore(&mut Reader::new(&bytes)).expect("restore");
+                assert_eq!(image(&b), bytes, "re-encoded checkpoint at {at}");
+                restores += 1;
+                queued_restores += blocked.iter().any(|s| !s.queued.is_empty()) as usize;
+            }
+        }
+    }
+    // The streams reach the states worth checking.
+    assert!(
+        restores > 1500 && queued_restores > 1000,
+        "{restores} {queued_restores}"
+    );
+    assert!(far_blocks > 2000, "{far_blocks}");
 }
 
 /// Functional word store: last write wins per 8-byte word.
